@@ -32,7 +32,7 @@ from lp_extremal.radon import (
 )
 from lp_extremal.search import minimize_ratio
 
-__all__ = ["main", "run", "RunManifest"]
+__all__ = ["main", "RunManifest"]
 
 SCHEMA_VERSION = 1
 
@@ -429,9 +429,6 @@ def main(argv=None) -> int:
         sys.stdout.write(_error_object(exc, 1))
         return 1
     return 0
-
-
-run = main
 
 
 if __name__ == "__main__":

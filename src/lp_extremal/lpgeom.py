@@ -159,21 +159,27 @@ class RatioReport:
 
 
 def _pair_power_scan(pts: np.ndarray, p: float):
-    """Per-pair sums of |x_i - x_j|^p plus the duplicate mask, row by row.
+    """Per-pair sums of |x_i - x_j|^p on rescaled points, plus the duplicate pair.
 
-    Vectorized selection pass; the extremes a caller reports should be
-    recomputed through :func:`p_norm` (compensated path).  Returns
-    ``(power_sums, pairs, duplicate_pair)`` where ``duplicate_pair`` is the
-    first exactly-equal pair of points, or None.
+    The points are first scaled by 2^-k, where 2^k is the power of two just
+    above max|x|, so the coordinate scale alone cannot make the powers
+    underflow or overflow; the scaling is exact in the normal range, so
+    selections agree with the unscaled sums.  Vectorized selection pass; the extremes a caller reports
+    should be recomputed through :func:`p_norm` (compensated path).  Returns
+    ``(power_sums, pairs, duplicate_pair, k)``: the sums are in units of
+    2^(p*k), and ``duplicate_pair`` is the first exactly-equal pair of
+    points, or None.
     """
+    k = int(np.frexp(np.max(np.abs(pts)))[1])
+    scaled = np.ldexp(pts, -k)
     m = pts.shape[0]
     sums = []
     pairs = []
     for i in range(m - 1):
-        diff = pts[i + 1:] - pts[i]
+        diff = scaled[i + 1:] - scaled[i]
         dup_rows = np.flatnonzero(np.all(pts[i + 1:] == pts[i], axis=1))
         if dup_rows.size:
-            return None, None, (i, i + 1 + int(dup_rows[0]))
+            return None, None, (i, i + 1 + int(dup_rows[0])), k
         if p == 4.0:
             sq = diff * diff
             s = np.sum(sq * sq, axis=1)
@@ -186,7 +192,7 @@ def _pair_power_scan(pts: np.ndarray, p: float):
             s = np.array([p_norm(diff[j], p) ** p for j in range(diff.shape[0])])
         sums.append(s)
         pairs.extend((i, j) for j in range(i + 1, m))
-    return np.concatenate(sums), pairs, None
+    return np.concatenate(sums), pairs, None, k
 
 
 def ratio_report(config: Configuration) -> RatioReport:
@@ -202,7 +208,7 @@ def ratio_report(config: Configuration) -> RatioReport:
         maximizing and a minimizing pair (first encountered on ties).
     """
     pts = config.points
-    sums, pairs, dup = _pair_power_scan(pts, config.p)
+    sums, pairs, dup, _ = _pair_power_scan(pts, config.p)
     if dup is not None:
         raise ValueError(f"duplicate points at indices {dup}: distance ratio is undefined")
     hi = int(np.argmax(sums))
@@ -230,9 +236,10 @@ def is_equilateral(config: Configuration, tol: float = DEFAULT_TOL) -> tuple[boo
     if tol < 0:
         raise ValueError("tol must be >= 0")
     pts = config.points
-    sums, pairs, dup = _pair_power_scan(pts, config.p)
+    sums, _, dup, k = _pair_power_scan(pts, config.p)
     if dup is not None:
         raise ValueError(f"duplicate points at indices {dup}: equilateral test is undefined")
+    # distances in units of 2^k: the verdict is scale-free, only lam is mapped back
     if config.p == 4.0:
         dists = np.sqrt(np.sqrt(sums))
     elif config.p == 2.0:
@@ -242,5 +249,8 @@ def is_equilateral(config: Configuration, tol: float = DEFAULT_TOL) -> tuple[boo
     dmax = float(np.max(dists))
     dmin = float(np.min(dists))
     if dmax - dmin <= tol * dmax:
-        return True, math.fsum(dists.tolist()) / len(dists)
+        try:
+            return True, math.ldexp(math.fsum(dists.tolist()) / len(dists), k)
+        except OverflowError:
+            raise ValueError("the common distance exceeds the floating-point range") from None
     return False, None

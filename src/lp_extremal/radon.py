@@ -9,6 +9,7 @@ and verifies every intermediate inequality numerically.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,47 +44,57 @@ def _as_point_matrix(points) -> np.ndarray:
     return pts
 
 
-def _null_vector(pts: np.ndarray) -> np.ndarray:
+def _null_vector(pts: np.ndarray):
     """Nonzero lambda with sum(lambda) = 0 and sum(lambda_i x_i) = 0.
 
-    Gaussian elimination with partial pivoting on the (n+1) x (n+2)
-    homogeneous system; the free variable is the last non-pivot column,
-    set to 1, with any other free columns set to 0.
+    The dependence is affine-invariant, so the (n+1) x (n+2) homogeneous
+    system is built on coordinates scaled by 2^-k, where 2^k is the
+    power of two just above max|x| (exact, and applied before centering
+    so nothing overflows), and then centered on their mean.  Forward
+    elimination with partial pivoting updates only the trailing block;
+    back substitution sets the last non-pivot column to 1 and any other
+    free columns to 0.  Plain numpy, no LAPACK or BLAS-3 call, so the
+    result does not depend on the BLAS thread count.
+
+    Returns (lambda, condition): condition holds the rank, the smallest
+    accepted pivot and the scale exponent k.
     """
     m, n = pts.shape
-    a = np.vstack([np.ones((1, m)), pts.T])  # (n+1) x m
+    k = int(np.frexp(np.max(np.abs(pts)))[1])
+    x = np.ldexp(pts, -k)
+    x -= x.mean(axis=0)
+    a = np.empty((n + 1, m))
+    a[0] = 1.0
+    a[1:] = x.T
     n_rows = n + 1
-    scale = max(1.0, float(np.max(np.abs(a))))
-    tiny = 1e-13 * scale
+    tiny = 1e-13 * max(1.0, float(np.max(np.abs(a))))
     pivot_cols = []
     row = 0
     for col in range(m):
-        if row >= n_rows:
+        if row == n_rows:
             break
-        sub = np.abs(a[row:, col])
-        best = int(np.argmax(sub)) + row
-        if abs(a[best, col]) <= tiny:
+        best = row + int(np.argmax(np.abs(a[row:, col])))
+        pivot = a[best, col]
+        if abs(pivot) <= tiny:
             continue  # free column
         if best != row:
             a[[row, best]] = a[[best, row]]
-        a[row] = a[row] / a[row, col]
-        mask = np.arange(n_rows) != row
-        a[mask] -= np.outer(a[mask, col], a[row])
+        a[row + 1:, col:] -= np.outer(a[row + 1:, col] / pivot, a[row, col:])
         pivot_cols.append(col)
         row += 1
-    free_cols = [c for c in range(m) if c not in pivot_cols]
-    if not free_cols:
-        raise NumericalBreakdown(
-            "elimination found no free column in the affine dependence system",
-            diagnostics={"m": m, "n": n, "rank": len(pivot_cols), "scale": scale},
-        )
-    free = free_cols[-1]
+    # n+1 rows and n+2 columns: at least one column is always free
+    free = max(set(range(m)).difference(pivot_cols))
     lam = np.zeros(m)
     lam[free] = 1.0
-    # rows were reduced to identity on the pivot columns
-    for r, c in enumerate(pivot_cols):
-        lam[c] = -a[r, free]
-    return lam
+    for r in range(len(pivot_cols) - 1, -1, -1):
+        c = pivot_cols[r]
+        lam[c] = -float(np.sum(a[r, c + 1:] * lam[c + 1:])) / a[r, c]
+    condition = {
+        "rank": len(pivot_cols),
+        "min_pivot": float(np.min(np.abs(a[range(len(pivot_cols)), pivot_cols]))),
+        "scale_exponent": k,
+    }
+    return lam, condition
 
 
 def _certificate_value(alphas, betas) -> float:
@@ -183,7 +194,7 @@ def radon_partition(points, tol: float = WEIGHT_RESIDUAL_TOL) -> RadonCertificat
     allowed weighted-sum residual relative to the coordinate scale.
     """
     pts = _as_point_matrix(points)
-    lam = _null_vector(pts)
+    lam, condition = _null_vector(pts)
     pos = lam > 0
     neg = lam < 0
     pos_sum = float(lam[pos].sum())
@@ -195,12 +206,13 @@ def radon_partition(points, tol: float = WEIGHT_RESIDUAL_TOL) -> RadonCertificat
                 "lambda": lam.tolist(),
                 "positive_mass": pos_sum,
                 "negative_mass": neg_sum,
+                **condition,
             },
         )
     side_a = tuple(int(i) for i in np.flatnonzero(pos))
     side_b = tuple(int(i) for i in np.flatnonzero(~pos))
     alphas = lam[pos] / pos_sum
-    betas = -lam[~pos] / neg_sum  # zero entries stay exactly 0
+    betas = np.abs(lam[~pos]) / neg_sum  # zero entries stay exactly +0
     sum_a = alphas @ pts[list(side_a)]
     sum_b = betas @ pts[list(side_b)]
     common = 0.5 * (sum_a + sum_b)
@@ -216,15 +228,21 @@ def radon_partition(points, tol: float = WEIGHT_RESIDUAL_TOL) -> RadonCertificat
                 "scale": scale,
                 "tol": tol,
                 "lambda": lam.tolist(),
+                **condition,
             },
         )
+    try:
+        certificate = _certificate_value(alphas, betas)
+    except NumericalBreakdown as exc:
+        exc.diagnostics.update(condition)
+        raise
     return RadonCertificate(
         side_a=side_a,
         side_b=side_b,
         alphas=alphas,
         betas=betas,
         common_point=common,
-        certificate=_certificate_value(alphas, betas),
+        certificate=certificate,
         residual=residual,
     )
 
@@ -302,15 +320,37 @@ def _weighted_moments(weights: np.ndarray, block: np.ndarray):
     return second, fourth
 
 
+def _unscaled(name: str, value: float, k: int, positive: bool = False) -> float:
+    """A fourth-power quantity computed on points scaled by 2^-k, times 2^(4k).
+
+    Raises NumericalBreakdown when the result leaves the normal
+    floating-point range: it overflows, or a nonzero value underflows.
+    With ``positive`` a zero value counts as underflowed too.
+    """
+    try:
+        out = math.ldexp(value, 4 * k)
+    except OverflowError:
+        out = math.inf
+    if math.isinf(out) or ((value != 0.0 or positive) and abs(out) < sys.float_info.min):
+        raise NumericalBreakdown(
+            f"{name} leaves the floating-point range at this coordinate scale",
+            diagnostics={"quantity": name, "scaled_value": value, "scale_exponent": k},
+        )
+    return out
+
+
 def audit_chain(
     config: Configuration, cert: RadonCertificate, tol: float = CHAIN_TOL
 ) -> ChainAudit:
     """Re-derive the certificate on config's points, checking each step.
 
-    All moment arithmetic runs on points translated so the common
-    point sits at the origin; M^4 and mu^4 come from raw fourth-power
-    sums, never from rooted distances.  A violated inequality raises
-    NumericalBreakdown: the chain is a theorem, so a violation means
+    All moment arithmetic runs on points scaled by the power of two 2^-k
+    from the pair scan and translated so the common point sits at the
+    origin; M^4 and mu^4 come from fourth-power sums, never from rooted
+    distances.  Reported values are mapped back by 2^(4k), which is exact
+    in the normal range; a value that would leave the floating-point range
+    raises NumericalBreakdown carrying k.  A violated inequality also
+    raises NumericalBreakdown: the chain is a theorem, so a violation means
     degenerate numerics or an implementation bug, not a counterexample.
     """
     if config.p != 4.0:
@@ -321,13 +361,16 @@ def audit_chain(
     if sorted(cert.side_a + cert.side_b) != list(range(m)):
         raise ValueError("certificate sides do not cover the configuration's indices")
 
-    sums, _, dup = _pair_power_scan(config.points, 4.0)
+    sums, _, dup, k = _pair_power_scan(config.points, 4.0)
     if dup is not None:
         raise ValueError(f"duplicate points at indices {dup}; ratio undefined")
     m4 = float(np.max(sums))
     mu4 = float(np.min(sums))
+    # distinct points: a zero here is a fourth-power distance that underflowed
+    _unscaled("M^4", m4, k, positive=True)
+    _unscaled("mu^4", mu4, k, positive=True)
 
-    shifted = config.points - cert.common_point
+    shifted = np.ldexp(config.points, -k) - np.ldexp(cert.common_point, -k)
     a_second, a_fourth = _weighted_moments(cert.alphas, shifted[list(cert.side_a)])
     b_second, b_fourth = _weighted_moments(cert.betas, shifted[list(cert.side_b)])
     sum_sq_a = math.fsum((cert.alphas ** 2).tolist())
@@ -335,18 +378,22 @@ def audit_chain(
 
     within_a = InequalityRecord(
         "within_a",
-        (1.0 - sum_sq_a) * m4,
-        2.0 * a_fourth + 6.0 * math.fsum((a_second * a_second).tolist()),
+        _unscaled("within_a lhs", (1.0 - sum_sq_a) * m4, k),
+        _unscaled(
+            "within_a rhs", 2.0 * a_fourth + 6.0 * math.fsum((a_second * a_second).tolist()), k
+        ),
     )
     within_b = InequalityRecord(
         "within_b",
-        (1.0 - sum_sq_b) * m4,
-        2.0 * b_fourth + 6.0 * math.fsum((b_second * b_second).tolist()),
+        _unscaled("within_b lhs", (1.0 - sum_sq_b) * m4, k),
+        _unscaled(
+            "within_b rhs", 2.0 * b_fourth + 6.0 * math.fsum((b_second * b_second).tolist()), k
+        ),
     )
     cross = InequalityRecord(
         "cross",
-        a_fourth + b_fourth,
-        mu4 - 6.0 * math.fsum((a_second * b_second).tolist()),
+        _unscaled("cross lhs", a_fourth + b_fourth, k),
+        _unscaled("cross rhs", mu4 - 6.0 * math.fsum((a_second * b_second).tolist()), k),
     )
     denom = 2.0 - sum_sq_a - sum_sq_b
     if denom <= 0.0:
@@ -356,7 +403,7 @@ def audit_chain(
         )
     ratio = InequalityRecord("ratio", m4 / mu4, 2.0 / denom)
     diff = a_second - b_second
-    slack = 6.0 * math.fsum((diff * diff).tolist())
+    slack = _unscaled("square_slack", 6.0 * math.fsum((diff * diff).tolist()), k)
 
     audit = ChainAudit(within_a, within_b, cross, ratio, slack, tol)
     for rec in audit.records():

@@ -271,6 +271,24 @@ class TestErrors:
         assert code == 1
         assert "CSV" in body["error"]["message"]
 
+    @pytest.mark.parametrize("scale", [1e-300, 1e-100, 1e-60, 1e100, 1e300])
+    def test_extreme_scales_end_in_a_result_or_a_named_error(self, capsys, tmp_path, scale):
+        pts = [[scale * x for x in row] for row in UNIT_SQUARE]
+        cfg = write_config(tmp_path / "sq.json", pts)
+        code, body = run_json(capsys, "certify", cfg, "--json")
+        assert code == 0
+        assert body["result"]["certificate"]["certificate"] == 2.0
+        code, body = run_json(capsys, "check-equilateral", cfg, "--json")
+        assert code == 0
+        assert body["result"]["equilateral"] is False
+        code, body = run_json(capsys, "audit", cfg, "--json")
+        assert code in (0, 1)
+        if code == 0:
+            assert body["result"]["all_hold"] is True
+        else:
+            assert body["error"]["type"] == "NumericalBreakdown"
+            assert "scale_exponent" in body["error"]["diagnostics"]
+
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 

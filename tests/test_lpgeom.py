@@ -196,6 +196,13 @@ class TestIsEquilateral:
         # distances are 1, 1.0000001, 2.0000001 -- never equilateral
         assert not is_equilateral(cfg, 1e-3)[0]
 
+    def test_common_distance_beyond_float_range_is_an_error(self):
+        pts = np.array([[-1e308, 0.0], [1e308, 0.0]])
+        flag, lam = is_equilateral(Configuration(pts / 4.0, 4.0))
+        assert flag and lam == pytest.approx(5e307, rel=1e-15)
+        with pytest.raises(ValueError, match="floating-point range"):
+            is_equilateral(Configuration(pts, 4.0))
+
     def test_duplicate_error(self):
         pts = np.array([[1.0, 1.0], [1.0, 1.0], [0.0, 0.0]])
         with pytest.raises(ValueError, match="duplicate"):

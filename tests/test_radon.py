@@ -1,13 +1,18 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import lp_extremal
 from lp_extremal.bounds import schuette_bound
 from lp_extremal.errors import NumericalBreakdown
-from lp_extremal.lpgeom import Configuration, ratio_report
+from lp_extremal.lpgeom import Configuration, is_equilateral, ratio_report
 from lp_extremal.radon import (
     ChainAudit,
     RadonCertificate,
@@ -55,6 +60,7 @@ class TestRadonPartition:
         # the zero-coefficient point lands in side_b with weight exactly 0
         assert 2 in cert.side_b
         assert cert.betas[cert.side_b.index(2)] == 0.0
+        assert not np.signbit(cert.betas).any()
         assert cert.certificate == pytest.approx(4.5, rel=1e-14)
 
     def test_wrong_count_rejected(self):
@@ -75,6 +81,7 @@ class TestRadonPartition:
             with pytest.raises(NumericalBreakdown) as exc_info:
                 radon_partition(pts, tol=0.0)
             assert "residual" in exc_info.value.diagnostics
+            assert exc_info.value.diagnostics["rank"] == 5
 
     def test_translation_stability(self):
         rng = np.random.default_rng(1)
@@ -216,12 +223,26 @@ class TestAuditChain:
         with pytest.raises(ValueError, match="duplicate"):
             audit_chain(Configuration(pts, 4.0), cert)
 
+    def test_underflowing_min_distance_is_a_named_error(self):
+        # distinct points whose fourth-power distance underflows even on
+        # the rescaled coordinates: mu^4 would divide M^4 by zero
+        pts = np.array([[0.0, 0.0], [1.0, 0.0], [1e-90, 1.0], [0.0, 1.0]])
+        cert = radon_partition(UNIT_SQUARE)
+        with pytest.raises(NumericalBreakdown, match="mu\\^4") as exc_info:
+            audit_chain(Configuration(pts, 4.0), cert)
+        assert exc_info.value.diagnostics["scale_exponent"] == 1
+
     def test_duplicate_points_break_partition(self):
         # a coincident pair makes both sides singletons: sum of squared
         # weights hits 2 and the certificate denominator vanishes
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [1.0, 1.0]])
-        with pytest.raises(NumericalBreakdown):
+        with pytest.raises(NumericalBreakdown) as exc_info:
             radon_partition(pts)
+        # the condition indicator of the solve rides along with the failure
+        diag = exc_info.value.diagnostics
+        assert diag["rank"] == 3
+        assert 0.0 < diag["min_pivot"] <= 1.0
+        assert diag["scale_exponent"] == 1
 
 
 class TestCrossModuleSoundness:
@@ -255,3 +276,62 @@ class TestCrossModuleSoundness:
         assert math.isfinite(cert.certificate)
         scale = max(1.0, float(np.max(np.abs(pts))))
         assert cert.residual <= 1e-10 * scale
+
+
+class TestScaleAndThreads:
+    @given(
+        st.integers(2, 6),
+        st.integers(0, 10_000),
+        st.integers(-996, 996),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_power_of_two_rescaling_changes_nothing(self, n, seed, e):
+        # x -> s*x + s*t with s = 2^e spans 1e-300..1e300; a power of two
+        # keeps every input coordinate exact, so any difference from the
+        # s = 1 results is a scale fault of the code, not of the input
+        rng = np.random.default_rng(seed)
+        x = rng.integers(-5, 6, size=(n + 2, n)).astype(float)
+        t = rng.integers(-20, 21, size=n).astype(float)
+        assume(len({tuple(row) for row in x}) == n + 2)
+        s = math.ldexp(1.0, e)
+        base_pts = x + t
+        pts = s * x + s * t
+        base, cert = radon_partition(base_pts), radon_partition(pts)
+        assert cert.side_a == base.side_a and cert.side_b == base.side_b
+        np.testing.assert_allclose(cert.alphas, base.alphas, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(cert.betas, base.betas, rtol=0, atol=1e-12)
+        assert cert.certificate == pytest.approx(base.certificate, rel=1e-12)
+        base_cfg, cfg = Configuration(base_pts, 4.0), Configuration(pts, 4.0)
+        base_rep, rep = ratio_report(base_cfg), ratio_report(cfg)
+        assert rep.ratio == base_rep.ratio
+        assert rep.argmax_pair == base_rep.argmax_pair
+        assert rep.argmin_pair == base_rep.argmin_pair
+        assert is_equilateral(cfg)[0] == is_equilateral(base_cfg)[0]
+        try:
+            assert audit_chain(cfg, cert).all_hold()
+        except NumericalBreakdown as exc:
+            # only a fourth-power moment times 2^(4k) outside the float range
+            assert abs(exc.diagnostics["scale_exponent"]) > 200
+
+    def test_certificate_bytes_do_not_depend_on_blas_threads(self):
+        script = (
+            "import json, numpy as np\n"
+            "from lp_extremal.radon import radon_partition\n"
+            "rng = np.random.default_rng(7)\n"
+            "pts = rng.uniform(-1.0, 1.0, size=(202, 200))\n"
+            "print(json.dumps(radon_partition(pts).to_dict()))\n"
+        )
+        src = str(Path(lp_extremal.__file__).resolve().parents[1])
+        outputs = []
+        for threads in ("1", "2"):
+            env = {
+                **os.environ,
+                "OPENBLAS_NUM_THREADS": threads,
+                "OMP_NUM_THREADS": threads,
+                "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+            }
+            proc = subprocess.run(
+                [sys.executable, "-c", script], capture_output=True, env=env, check=True
+            )
+            outputs.append(proc.stdout)
+        assert outputs[0] and outputs[0] == outputs[1]

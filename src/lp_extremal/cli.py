@@ -15,6 +15,7 @@ import math
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from itertools import repeat
 
 import numpy as np
 
@@ -92,6 +93,13 @@ def _format_json(value, indent=0) -> str:
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
+        if all(type(v) is float for v in value):
+            # a coordinate row: one finiteness pass, one join
+            if not all(map(math.isfinite, value)):
+                bad = next(v for v in value if not math.isfinite(v))
+                raise ValueError(f"refusing to serialize non-finite float {bad!r}")
+            items = (",\n" + pad + "  ").join(map(format, value, repeat(".17g")))
+            return "[\n" + pad + "  " + items + "\n" + pad + "]"
         items = ",\n".join(f"{pad}  {_format_json(v, indent + 1)}" for v in value)
         return "[\n" + items + "\n" + pad + "]"
     if isinstance(value, bool) or value is None:

@@ -7,6 +7,7 @@ calling a general power routine, so repeated evaluations are bit-identical.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -128,7 +129,7 @@ class Configuration:
 
     def to_dict(self) -> dict:
         """Wire format: ``{"p": 4.0, "points": [[...], ...]}``."""
-        return {"p": self.p, "points": [list(map(float, row)) for row in self.points]}
+        return {"p": self.p, "points": self.points.tolist()}
 
     @classmethod
     def from_dict(cls, data: dict) -> "Configuration":
@@ -158,41 +159,106 @@ class RatioReport:
         }
 
 
+#: Largest number of float64 elements in the pair kernel's difference buffer.
+PAIR_BLOCK_ELEMENTS = 1 << 16
+
+
+@functools.lru_cache(maxsize=16)
+def _pair_index(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only row and column indices of the pairs i < j, in row-major order."""
+    i, j = np.triu_indices(m, 1)
+    i.flags.writeable = False
+    j.flags.writeable = False
+    return i, j
+
+
+def _powered_sums(d: np.ndarray, p: float) -> np.ndarray:
+    """:func:`_pair_sums`'s values from differences ``d`` (coordinates on the
+    last axis), reduced by one contiguous last-axis ``sum``; ``d`` is
+    overwritten."""
+    if p == 4.0 or p == 2.0:
+        np.multiply(d, d, out=d)
+        if p == 4.0:
+            np.multiply(d, d, out=d)
+        return d.sum(axis=-1)
+    np.abs(d, out=d)
+    top = d.max(axis=-1)
+    np.divide(d, np.where(top > 0.0, top, 1.0)[..., None], out=d)
+    np.power(d, p, out=d)
+    return top * d.sum(axis=-1) ** (1.0 / p)
+
+
+def _pair_sums(x: np.ndarray, p: float) -> np.ndarray:
+    """Per-pair values for all i < j of the rows of ``x``, in row-major order.
+
+    For p = 4 and p = 2 the value is sum_m |x_im - x_jm|^p; for any other p
+    it is the l_p distance itself, with each pair's largest |difference|
+    factored out before powering as in :func:`p_norm`, so a large p cannot
+    underflow every term to 0.
+
+    A set whose m(m-1)/2 x n pair differences fit in ``PAIR_BLOCK_ELEMENTS``
+    values gathers them in one step through cached pair indices.  At the
+    sizes ``search`` evaluates thousands of times (n <= 8) every array then
+    has at most 500 elements, and numpy keeps the GIL through such calls, so
+    concurrent restart threads trade the GIL at the interpreter's switch
+    interval instead of at every ufunc; those handovers made the search's
+    run time swing with the machine's load.  Larger sets take the rows in
+    blocks whose difference buffer holds at most ``PAIR_BLOCK_ELEMENTS``
+    values (a row or a few at n in the hundreds); the buffer is reused
+    across blocks and powered in place.  Each pair is reduced by the same
+    contiguous last-axis ``sum`` on either path, so the sums do not depend
+    on the path or the blocking, and no BLAS routine is involved.
+    """
+    m, n = x.shape
+    if m * (m - 1) // 2 * n <= PAIR_BLOCK_ELEMENTS:
+        i, j = _pair_index(m)
+        return _powered_sums(x[j] - x[i], p)
+    out = np.empty(m * (m - 1) // 2)
+    buf = np.empty(max(PAIR_BLOCK_ELEMENTS, (m - 1) * n))
+    pos = 0
+    a = 0
+    while a < m - 1:
+        width = m - 1 - a
+        rows = min(width, max(1, PAIR_BLOCK_ELEMENTS // (width * n)))
+        d = buf[: rows * width * n].reshape(rows, width, n)
+        np.subtract(x[None, a + 1:], x[a:a + rows, None], out=d)
+        s = _powered_sums(d, p)
+        # row r of the block holds the pairs (a + r, a + 1 + c); keep c >= r
+        vals = s.ravel() if rows == 1 else s[np.arange(width) >= np.arange(rows)[:, None]]
+        out[pos:pos + vals.size] = vals
+        pos += vals.size
+        a += rows
+    return out
+
+
+def _pair_at(t: int, m: int) -> tuple[int, int]:
+    """The pair (i, j), i < j, at row-major position ``t`` among m points."""
+    rows = np.arange(m - 1)
+    i = int(np.searchsorted(rows * (2 * m - rows - 1) // 2, t, side="right")) - 1
+    return i, int(t - i * (2 * m - i - 1) // 2 + i + 1)
+
+
 def _pair_power_scan(pts: np.ndarray, p: float):
-    """Per-pair sums of |x_i - x_j|^p on rescaled points, plus the duplicate pair.
+    """:func:`_pair_sums` on rescaled points, plus the first duplicate pair.
 
     The points are first scaled by 2^-k, where 2^k is the power of two just
     above max|x|, so the coordinate scale alone cannot make the powers
     underflow or overflow; the scaling is exact in the normal range, so
-    selections agree with the unscaled sums.  Vectorized selection pass; the extremes a caller reports
-    should be recomputed through :func:`p_norm` (compensated path).  Returns
-    ``(power_sums, pairs, duplicate_pair, k)``: the sums are in units of
-    2^(p*k), and ``duplicate_pair`` is the first exactly-equal pair of
-    points, or None.
+    selections agree with the unscaled sums.  Returns ``(sums, duplicate_pair,
+    k)``: the sums are in units of 2^(p*k) (distances in units of 2^k for
+    p other than 2 and 4), and ``duplicate_pair`` is the row-major first pair
+    of exactly equal points, or None.  Only pairs whose value is exactly 0 are
+    compared, so a distinct pair whose power sum underflowed is not a
+    duplicate.
     """
     k = int(np.frexp(np.max(np.abs(pts)))[1])
-    scaled = np.ldexp(pts, -k)
+    sums = _pair_sums(np.ldexp(pts, -k), p)
     m = pts.shape[0]
-    sums = []
-    pairs = []
-    for i in range(m - 1):
-        diff = scaled[i + 1:] - scaled[i]
-        dup_rows = np.flatnonzero(np.all(pts[i + 1:] == pts[i], axis=1))
-        if dup_rows.size:
-            return None, None, (i, i + 1 + int(dup_rows[0])), k
-        if p == 4.0:
-            sq = diff * diff
-            s = np.sum(sq * sq, axis=1)
-        elif p == 2.0:
-            s = np.sum(diff * diff, axis=1)
-        else:
-            s = np.sum(np.abs(diff) ** p, axis=1)
-        if not np.isfinite(s).all():
-            # overflow in the raw powers; fall back to the guarded scalar path
-            s = np.array([p_norm(diff[j], p) ** p for j in range(diff.shape[0])])
-        sums.append(s)
-        pairs.extend((i, j) for j in range(i + 1, m))
-    return np.concatenate(sums), pairs, None, k
+    for t in np.flatnonzero(sums == 0.0):
+        i, j = _pair_at(int(t), m)
+        if np.array_equal(pts[i], pts[j]):
+            return sums, (i, j), k
+    return sums, None, k
 
 
 def ratio_report(config: Configuration) -> RatioReport:
@@ -200,6 +266,9 @@ def ratio_report(config: Configuration) -> RatioReport:
 
     Exactly coincident points make mu = 0 and are rejected with the offending
     index pair; merely close points are legal and simply produce a large ratio.
+    The two extremes are repriced through :func:`p_norm` on the rescaled
+    points and mapped back by 2^k, so coordinates near the float limit work
+    as long as M itself is representable.
 
     Returns
     -------
@@ -208,15 +277,18 @@ def ratio_report(config: Configuration) -> RatioReport:
         maximizing and a minimizing pair (first encountered on ties).
     """
     pts = config.points
-    sums, pairs, dup, _ = _pair_power_scan(pts, config.p)
+    m = pts.shape[0]
+    sums, dup, k = _pair_power_scan(pts, config.p)
     if dup is not None:
         raise ValueError(f"duplicate points at indices {dup}: distance ratio is undefined")
-    hi = int(np.argmax(sums))
-    lo = int(np.argmin(sums))
-    imax, jmax = pairs[hi]
-    imin, jmin = pairs[lo]
-    max_dist = distance(pts[imax], pts[jmax], config.p)
-    min_dist = distance(pts[imin], pts[jmin], config.p)
+    imax, jmax = _pair_at(int(np.argmax(sums)), m)
+    imin, jmin = _pair_at(int(np.argmin(sums)), m)
+    x = np.ldexp(pts[[imax, jmax, imin, jmin]], -k)
+    try:
+        max_dist = math.ldexp(p_norm(x[0] - x[1], config.p), k)
+    except OverflowError:
+        raise ValueError("the maximum distance exceeds the floating-point range") from None
+    min_dist = math.ldexp(p_norm(x[2] - x[3], config.p), k)
     return RatioReport(
         max_dist=max_dist,
         min_dist=min_dist,
@@ -236,7 +308,7 @@ def is_equilateral(config: Configuration, tol: float = DEFAULT_TOL) -> tuple[boo
     if tol < 0:
         raise ValueError("tol must be >= 0")
     pts = config.points
-    sums, _, dup, k = _pair_power_scan(pts, config.p)
+    sums, dup, k = _pair_power_scan(pts, config.p)
     if dup is not None:
         raise ValueError(f"duplicate points at indices {dup}: equilateral test is undefined")
     # distances in units of 2^k: the verdict is scale-free, only lam is mapped back
@@ -245,7 +317,7 @@ def is_equilateral(config: Configuration, tol: float = DEFAULT_TOL) -> tuple[boo
     elif config.p == 2.0:
         dists = np.sqrt(sums)
     else:
-        dists = np.power(sums, 1.0 / config.p)
+        dists = sums
     dmax = float(np.max(dists))
     dmin = float(np.min(dists))
     if dmax - dmin <= tol * dmax:

@@ -258,18 +258,24 @@ def certificate_bound(cert: RadonCertificate) -> float:
 
 @dataclass(frozen=True)
 class InequalityRecord:
-    """One audited inequality: lhs >= rhs up to relative tolerance."""
+    """One audited inequality: lhs >= rhs up to relative tolerance.
+
+    The tolerance is relative to max(scale, |lhs|).  A fourth-power
+    record carries M^4 as its scale, so the test does not change when
+    the points are scaled; the dimensionless ratio record keeps 1.
+    """
 
     name: str
     lhs: float
     rhs: float
+    scale: float = 1.0
 
     @property
     def margin(self) -> float:
         return self.lhs - self.rhs
 
     def holds(self, tol: float = CHAIN_TOL) -> bool:
-        return self.lhs >= self.rhs - tol * max(1.0, abs(self.lhs))
+        return self.lhs >= self.rhs - tol * max(self.scale, abs(self.lhs))
 
     def to_dict(self) -> dict:
         return {"name": self.name, "lhs": self.lhs, "rhs": self.rhs, "margin": self.margin}
@@ -349,9 +355,11 @@ def audit_chain(
     origin; M^4 and mu^4 come from fourth-power sums, never from rooted
     distances.  Reported values are mapped back by 2^(4k), which is exact
     in the normal range; a value that would leave the floating-point range
-    raises NumericalBreakdown carrying k.  A violated inequality also
-    raises NumericalBreakdown: the chain is a theorem, so a violation means
-    degenerate numerics or an implementation bug, not a counterexample.
+    raises NumericalBreakdown carrying k.  The fourth-power inequalities
+    are tested to ``tol`` relative to M^4, so the verdict is scale-free.
+    A violated inequality also raises NumericalBreakdown: the chain is a
+    theorem, so a violation means degenerate numerics or an implementation
+    bug, not a counterexample.
     """
     if config.p != 4.0:
         raise ValueError(f"the certificate chain is specific to p = 4, got p = {config.p}")
@@ -361,13 +369,13 @@ def audit_chain(
     if sorted(cert.side_a + cert.side_b) != list(range(m)):
         raise ValueError("certificate sides do not cover the configuration's indices")
 
-    sums, _, dup, k = _pair_power_scan(config.points, 4.0)
+    sums, dup, k = _pair_power_scan(config.points, 4.0)
     if dup is not None:
         raise ValueError(f"duplicate points at indices {dup}; ratio undefined")
     m4 = float(np.max(sums))
     mu4 = float(np.min(sums))
     # distinct points: a zero here is a fourth-power distance that underflowed
-    _unscaled("M^4", m4, k, positive=True)
+    m4_raw = _unscaled("M^4", m4, k, positive=True)
     _unscaled("mu^4", mu4, k, positive=True)
 
     shifted = np.ldexp(config.points, -k) - np.ldexp(cert.common_point, -k)
@@ -382,6 +390,7 @@ def audit_chain(
         _unscaled(
             "within_a rhs", 2.0 * a_fourth + 6.0 * math.fsum((a_second * a_second).tolist()), k
         ),
+        m4_raw,
     )
     within_b = InequalityRecord(
         "within_b",
@@ -389,11 +398,13 @@ def audit_chain(
         _unscaled(
             "within_b rhs", 2.0 * b_fourth + 6.0 * math.fsum((b_second * b_second).tolist()), k
         ),
+        m4_raw,
     )
     cross = InequalityRecord(
         "cross",
         _unscaled("cross lhs", a_fourth + b_fourth, k),
         _unscaled("cross rhs", mu4 - 6.0 * math.fsum((a_second * b_second).tolist()), k),
+        m4_raw,
     )
     denom = 2.0 - sum_sq_a - sum_sq_b
     if denom <= 0.0:

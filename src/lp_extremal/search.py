@@ -21,7 +21,7 @@ import numpy as np
 from lp_extremal.bounds import schuette_bound
 from lp_extremal.construct import build_configuration
 from lp_extremal.errors import NumericalBreakdown
-from lp_extremal.lpgeom import Configuration, ratio_report
+from lp_extremal.lpgeom import Configuration, _pair_sums, ratio_report
 
 __all__ = ["SearchResult", "minimize_ratio"]
 
@@ -65,15 +65,6 @@ class SearchResult:
         }
 
 
-def _pair_fourth_power_extremes(pts: np.ndarray, iu) -> tuple:
-    """(max, min) over pairs of sum_m (x_i - x_j)_m^4; fast scan path."""
-    diff = pts[:, None, :] - pts[None, :, :]
-    sq = diff * diff
-    s4 = (sq * sq).sum(axis=2)
-    vals = s4[iu]
-    return float(vals.max()), float(vals.min())
-
-
 def _normalize(pts: np.ndarray, min_dist: float) -> np.ndarray:
     """Translate the centroid to the origin and scale min distance to 1."""
     return (pts - pts.mean(axis=0)) / min_dist
@@ -97,8 +88,8 @@ def _run_restart(seed_pts: np.ndarray, evals: int, rng: np.random.Generator):
     monotone in the budget by construction.
     """
     m, n = seed_pts.shape
-    iu = np.triu_indices(m, 1)
-    mx, mn = _pair_fourth_power_extremes(seed_pts, iu)
+    s4 = _pair_sums(seed_pts, 4.0)
+    mx, mn = float(s4.max()), float(s4.min())
     if mn <= 0.0:
         raise ValueError("seed configuration contains duplicate points")
     current = _normalize(seed_pts, mn ** 0.25)
@@ -121,7 +112,8 @@ def _run_restart(seed_pts: np.ndarray, evals: int, rng: np.random.Generator):
         coin = rng.random()
         cand = current.copy()
         cand[idx] += step * kick
-        cmx, cmn = _pair_fourth_power_extremes(cand, iu)
+        s4 = _pair_sums(cand, 4.0)
+        cmx, cmn = float(s4.max()), float(s4.min())
         if cmn <= 0.0:
             continue  # coincident points: infinite ratio, never accepted
         cand_obj = (cmx / cmn) ** 0.25

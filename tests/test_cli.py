@@ -17,7 +17,7 @@ from lp_extremal import (
     ratio_report,
     schuette_bound,
 )
-from lp_extremal.cli import main
+from lp_extremal.cli import _format_json, main
 
 
 def run(capsys, *argv):
@@ -225,6 +225,49 @@ class TestCheckEquilateral:
         assert code == 0
         assert body["result"]["equilateral"] is False
 
+    @pytest.mark.parametrize(
+        "points, p",
+        [
+            ([[0.0, 0.0], [1.0, 0.0], [0.3, 0.7]], "2000"),
+            ([[1e20, 1e20], [1e20 + 1e5, 1e20], [1e20 + 3e4, 1e20 + 7e4]], "30"),
+        ],
+    )
+    def test_large_p_triangle_is_not_equilateral(self, capsys, tmp_path, points, p):
+        cfg = write_config(tmp_path / "tri.json", points, p=4.0)
+        code, out = run(capsys, "check-equilateral", cfg, "--p", p)
+        assert code == 0
+        assert out == "equilateral: no\n"
+        code, body = run_json(capsys, "check-equilateral", cfg, "--p", p, "--json")
+        assert code == 0
+        assert body["result"]["equilateral"] is False and body["result"]["lambda"] is None
+
+
+class TestFormatJson:
+    def test_float_rows_and_mixed_lists_keep_their_bytes(self):
+        body = {
+            "rows": [[-0.0, 5e-324, 1e308, 0.1], [1.0, 2.5]],
+            "n": 3,
+            "flag": True,
+            "none": None,
+            "mixed": [1, 0.5, False, None, "x"],
+            "empty": [],
+            "tup": (0.25, -1e-300),
+        }
+        expected = (
+            '{\n  "rows": [\n    [\n      -0,\n      4.9406564584124654e-324,\n'
+            "      1e+308,\n      0.10000000000000001\n    ],\n    [\n      1,\n"
+            '      2.5\n    ]\n  ],\n  "n": 3,\n  "flag": true,\n  "none": null,\n'
+            '  "mixed": [\n    1,\n    0.5,\n    false,\n    null,\n    "x"\n  ],\n'
+            '  "empty": [],\n  "tup": [\n    0.25,\n    -1e-300\n  ]\n}'
+        )
+        assert _format_json(body) == expected
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_floats_are_refused(self, bad):
+        for value in ([1.0, bad], [[0.5, bad]], {"x": [bad, 1]}):
+            with pytest.raises(ValueError, match="non-finite"):
+                _format_json(value)
+
 
 class TestErrors:
     def test_missing_file_is_exit_2(self, capsys):
@@ -288,6 +331,15 @@ class TestErrors:
         else:
             assert body["error"]["type"] == "NumericalBreakdown"
             assert "scale_exponent" in body["error"]["diagnostics"]
+
+    def test_max_distance_beyond_float_range_is_named(self, capsys, tmp_path):
+        pts = [[1e308, 0.0], [-1e308, 0.0], [0.0, 1.7e308], [0.0, -1.7e308]]
+        cfg = write_config(tmp_path / "big.json", pts)
+        with pytest.raises(ValueError, match="floating-point range"):
+            ratio_report(Configuration(np.array(pts), 4.0))
+        code, body = run_json(capsys, "audit", cfg, "--json")
+        assert code == 1
+        assert "floating-point range" in body["error"]["message"]
 
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lp_extremal import build_configuration, lpgeom
 from lp_extremal.lpgeom import (
     Configuration,
     distance,
@@ -14,6 +15,14 @@ from lp_extremal.lpgeom import (
 )
 
 UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+TRIANGLE = np.array([[0.0, 0.0], [1.0, 0.0], [0.3, 0.7]])
+# rounds to a multiple of 2^14 near 1e20, where |difference|^30 underflows
+FAR_TRIANGLE = TRIANGLE * 1e5 + 1e20
+NEAR_FLOAT_MAX = [
+    np.array([[1e308, 0.0], [-1e308, 0.0]]),
+    np.array([[0.0, 1.7e308], [0.0, -1.7e308]]),
+    np.array([[1e308, 0.0], [-1e308, 0.0], [0.0, 1.7e308], [0.0, -1.7e308]]),
+]
 
 
 def brute_force_pairs(points, p):
@@ -150,6 +159,24 @@ class TestRatioReport:
         with pytest.raises(ValueError, match=r"\(0, 2\)"):
             ratio_report(Configuration(pts, 4.0))
 
+    def test_large_exponents_do_not_underflow(self):
+        # every |difference|^2000 underflows; the true ratio is 1 / 0.7
+        rep = ratio_report(Configuration(TRIANGLE, 2000.0))
+        assert rep.ratio == pytest.approx(1.4285714285714286, rel=1e-12)
+        assert rep.argmax_pair == (0, 1)
+        rep = ratio_report(Configuration(FAR_TRIANGLE, 30.0))
+        x = Configuration(FAR_TRIANGLE, 30.0).points
+        ds = [distance(x[i], x[j], 30.0) for i, j in ((0, 1), (0, 2), (1, 2))]
+        assert max(ds) / min(ds) == pytest.approx(1.499999999953434, rel=1e-12)
+        assert rep.ratio == pytest.approx(max(ds) / min(ds), rel=1e-12)
+
+    @pytest.mark.parametrize("pts", NEAR_FLOAT_MAX)
+    def test_max_distance_beyond_float_range_is_named(self, pts):
+        with pytest.raises(ValueError, match="the maximum distance exceeds the floating-point range"):
+            ratio_report(Configuration(pts, 4.0))
+        rep = ratio_report(Configuration(pts / 4.0, 4.0))
+        assert math.isfinite(rep.max_dist) and rep.ratio >= 1.0
+
     def test_argmax_pair_reproduces_max(self):
         rng = np.random.default_rng(11)
         for _ in range(25):
@@ -208,6 +235,12 @@ class TestIsEquilateral:
         with pytest.raises(ValueError, match="duplicate"):
             is_equilateral(Configuration(pts, 2.0), 1e-9)
 
+    def test_large_exponents_do_not_underflow(self):
+        assert is_equilateral(Configuration(TRIANGLE, 2000.0)) == (False, None)
+        assert is_equilateral(Configuration(FAR_TRIANGLE, 30.0)) == (False, None)
+        flag, lam = is_equilateral(Configuration(np.eye(3), 2000.0))
+        assert flag and lam == pytest.approx(2.0 ** (1 / 2000), rel=1e-12)
+
 
 class TestConfiguration:
     def test_validation(self):
@@ -237,3 +270,104 @@ class TestConfiguration:
     def test_from_dict_missing_field(self):
         with pytest.raises(ValueError, match="missing"):
             Configuration.from_dict({"points": [[0.0], [1.0]]})
+
+
+def reference_row_scan(pts, p):
+    """The row-at-a-time scan the pair kernel replaced, on 2^-k-scaled points."""
+    k = int(np.frexp(np.max(np.abs(pts)))[1])
+    x = np.ldexp(pts, -k)
+    sums = []
+    for i in range(x.shape[0] - 1):
+        diff = x[i + 1:] - x[i]
+        if p == 4.0:
+            sq = diff * diff
+            sums.append(np.sum(sq * sq, axis=1))
+        else:
+            sums.append(np.sum(diff * diff, axis=1))
+    return np.concatenate(sums), k
+
+
+def kernel_inputs(n, seed=0):
+    rng = np.random.default_rng(seed)
+    tie = build_configuration(n).config.points
+    return {
+        "exact": tie,
+        "perturbed": tie + 1e-3 * rng.standard_normal(tie.shape),
+        "random": rng.uniform(-1.0, 1.0, tie.shape),
+    }
+
+
+class TestPairKernel:
+    @pytest.mark.parametrize("p", [2.0, 4.0])
+    @pytest.mark.parametrize("n", [2, 7, 40])
+    def test_sums_match_the_row_scan_bit_for_bit(self, p, n):
+        for pts in kernel_inputs(n).values():
+            ref, k = reference_row_scan(pts, p)
+            sums, dup, k_scan = lpgeom._pair_power_scan(pts, p)
+            assert dup is None and k_scan == k
+            assert np.array_equal(sums, ref)
+
+    @pytest.mark.parametrize("p", [2.0, 4.0])
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_blocking_does_not_change_the_sums(self, monkeypatch, p, offset):
+        # budget just below, at and just above the gathered m(m-1)/2 x n
+        # pair differences and one m x m x n block, then small enough that
+        # the rows split into blocks of several sizes
+        for kind, pts in kernel_inputs(12, seed=3).items():
+            m, n = pts.shape
+            ref, _ = reference_row_scan(pts, p)
+            for budget in (m * (m - 1) // 2 * n + offset, (m - 1) * (m - 1) * n + offset,
+                           3 * n * (m - 1) + offset, 50):
+                monkeypatch.setattr(lpgeom, "PAIR_BLOCK_ELEMENTS", budget)
+                sums, _, _ = lpgeom._pair_power_scan(pts, p)
+                assert np.array_equal(sums, ref), (kind, budget)
+
+    @pytest.mark.parametrize("p", [1.5, 3.0, 2000.0])
+    def test_general_p_does_not_depend_on_the_path(self, monkeypatch, p):
+        for kind, pts in kernel_inputs(12, seed=4).items():
+            gathered = lpgeom._pair_sums(pts, p)
+            monkeypatch.setattr(lpgeom, "PAIR_BLOCK_ELEMENTS", 50)
+            assert np.array_equal(lpgeom._pair_sums(pts, p), gathered), kind
+            monkeypatch.undo()
+
+    def test_row_major_positions_decode(self):
+        m = 7
+        pairs = [lpgeom._pair_at(t, m) for t in range(m * (m - 1) // 2)]
+        assert pairs == [(i, j) for i in range(m) for j in range(i + 1, m)]
+
+    def test_ties_report_the_lowest_row_major_pair(self):
+        rep = ratio_report(Configuration(UNIT_SQUARE, 4.0))
+        assert rep.argmax_pair == (0, 2)
+        assert rep.argmin_pair == (0, 1)
+        pts = build_configuration(6).config.points
+        ref = brute_force_pairs(pts, 4.0)
+        rep = ratio_report(Configuration(pts, 4.0))
+        sums, _, _ = lpgeom._pair_power_scan(pts, 4.0)
+        order = [(i, j) for i in range(8) for j in range(i + 1, 8)]
+        assert rep.argmax_pair == order[int(np.flatnonzero(sums == sums.max())[0])]
+        assert rep.argmin_pair == order[int(np.flatnonzero(sums == sums.min())[0])]
+        assert np.count_nonzero(sums == sums.min()) > 1
+        assert rep.max_dist == pytest.approx(max(ref.values()), rel=1e-12)
+
+    def test_first_duplicate_in_row_major_order_is_named(self):
+        pts = np.array([[0.0, 0.0], [1.0, 1.0], [1.0, 1.0], [2.0, 0.0], [0.0, 3.0], [0.0, 0.0]])
+        with pytest.raises(ValueError, match=r"\(0, 5\)"):
+            ratio_report(Configuration(pts, 4.0))
+        with pytest.raises(ValueError, match=r"\(0, 5\)"):
+            is_equilateral(Configuration(pts, 3.0))
+
+    def test_underflowed_sum_is_not_a_duplicate(self):
+        pts = np.array([[0.0, 0.0], [1.0, 0.0], [1e-100, 0.0]])
+        sums, dup, _ = lpgeom._pair_power_scan(pts, 4.0)
+        assert sums[1] == 0.0 and dup is None
+        rep = ratio_report(Configuration(pts, 4.0))
+        assert rep.argmin_pair == (0, 2)
+        assert rep.min_dist == 1e-100
+        assert is_equilateral(Configuration(pts, 4.0)) == (False, None)
+
+    def test_general_p_values_are_distances(self):
+        pts = kernel_inputs(5)["random"]
+        for p in (1.0, 3.0, 7.5):
+            vals, _, k = lpgeom._pair_power_scan(pts, p)
+            ref = brute_force_pairs(pts, p)
+            assert np.allclose(np.ldexp(vals, k), list(ref.values()), rtol=1e-12, atol=0)

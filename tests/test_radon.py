@@ -175,6 +175,19 @@ class TestAuditChain:
         assert audit.ratio.rhs == pytest.approx(2.0, abs=1e-15)
         assert audit.ratio.margin == pytest.approx(0.0, abs=1e-15)
 
+    def test_tolerance_is_relative_to_the_largest_fourth_power(self):
+        # side_a is one point; its moments are the solve's rounding residual,
+        # which scales with the points, so an absolute floor failed at 2^47
+        base = np.array([[-3.0, 20.0], [-2.0, 18.0], [3.0, 19.0], [0.0, 19.0]])
+        for e in (0, 47, 200):
+            pts = math.ldexp(1.0, e) * base
+            cert = radon_partition(pts)
+            audit = audit_chain(Configuration(pts, 4.0), cert)
+            assert list(cert.side_a) == [3]
+            assert audit.all_hold()
+            assert audit.within_a.scale == math.ldexp(1297.0, 4 * e)
+            assert audit.ratio.scale == 1.0
+
     def test_random_configs_pass(self):
         rng = np.random.default_rng(2)
         for n in range(2, 6):
@@ -316,10 +329,16 @@ class TestScaleAndThreads:
     def test_certificate_bytes_do_not_depend_on_blas_threads(self):
         script = (
             "import json, numpy as np\n"
-            "from lp_extremal.radon import radon_partition\n"
+            "from lp_extremal import Configuration, build_configuration, is_equilateral, ratio_report\n"
+            "from lp_extremal.radon import audit_chain, radon_partition\n"
             "rng = np.random.default_rng(7)\n"
             "pts = rng.uniform(-1.0, 1.0, size=(202, 200))\n"
             "print(json.dumps(radon_partition(pts).to_dict()))\n"
+            "tie = build_configuration(200).config\n"
+            "for cfg in (Configuration(pts, 4.0), tie):\n"
+            "    print(json.dumps(ratio_report(cfg).to_dict()), is_equilateral(cfg))\n"
+            "    cert = radon_partition(cfg.points)\n"
+            "    print(json.dumps(audit_chain(cfg, cert).to_dict()))\n"
         )
         src = str(Path(lp_extremal.__file__).resolve().parents[1])
         outputs = []

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -198,16 +199,15 @@ def _pair_sums(x: np.ndarray, p: float) -> np.ndarray:
 
     A set whose m(m-1)/2 x n pair differences fit in ``PAIR_BLOCK_ELEMENTS``
     values gathers them in one step through cached pair indices.  At the
-    sizes ``search`` evaluates thousands of times (n <= 8) every array then
-    has at most 500 elements, and numpy keeps the GIL through such calls, so
-    concurrent restart threads trade the GIL at the interpreter's switch
-    interval instead of at every ufunc; those handovers made the search's
-    run time swing with the machine's load.  Larger sets take the rows in
-    blocks whose difference buffer holds at most ``PAIR_BLOCK_ELEMENTS``
-    values (a row or a few at n in the hundreds); the buffer is reused
-    across blocks and powered in place.  Each pair is reduced by the same
-    contiguous last-axis ``sum`` on either path, so the sums do not depend
-    on the path or the blocking, and no BLAS routine is involved.
+    sizes ``search`` evaluates thousands of times that takes fewer numpy
+    calls than the blocked path, which needs a buffer and a mask to select
+    the pairs i < j: 11-14 us against 21 us per call at m = 10, n = 8 (one
+    2-vCPU x86 VM).  Larger sets take the rows in blocks whose difference
+    buffer holds at most ``PAIR_BLOCK_ELEMENTS`` values (a row or a few at
+    n in the hundreds); the buffer is reused across blocks and powered in
+    place.  Each pair is reduced by the same contiguous last-axis ``sum`` on
+    either path, so the sums do not depend on the path or the blocking, and
+    no BLAS routine is involved.
     """
     m, n = x.shape
     if m * (m - 1) // 2 * n <= PAIR_BLOCK_ELEMENTS:
@@ -238,27 +238,54 @@ def _pair_at(t: int, m: int) -> tuple[int, int]:
     return i, int(t - i * (2 * m - i - 1) // 2 + i + 1)
 
 
-def _pair_power_scan(pts: np.ndarray, p: float):
-    """:func:`_pair_sums` on rescaled points, plus the first duplicate pair.
+def _power_of_two_scaled(pts: np.ndarray) -> tuple[np.ndarray, int]:
+    """``(pts * 2^-k, k)``, where 2^k is the power of two just above max|x|.
 
-    The points are first scaled by 2^-k, where 2^k is the power of two just
-    above max|x|, so the coordinate scale alone cannot make the powers
-    underflow or overflow; the scaling is exact in the normal range, so
-    selections agree with the unscaled sums.  Returns ``(sums, duplicate_pair,
-    k)``: the sums are in units of 2^(p*k) (distances in units of 2^k for
-    p other than 2 and 4), and ``duplicate_pair`` is the row-major first pair
-    of exactly equal points, or None.  Only pairs whose value is exactly 0 are
-    compared, so a distinct pair whose power sum underflowed is not a
-    duplicate.
+    Every scaled coordinate lies in (-1, 1), and the scaling is exact in the
+    normal range, so it changes no comparison between coordinates.
     """
     k = int(np.frexp(np.max(np.abs(pts)))[1])
-    sums = _pair_sums(np.ldexp(pts, -k), p)
+    return np.ldexp(pts, -k), k
+
+
+def _pair_power_scan(pts: np.ndarray, p: float):
+    """:func:`_pair_sums` on the points scaled by :func:`_power_of_two_scaled`,
+    plus the first duplicate pair.
+
+    The coordinate scale alone then cannot make the powers underflow or
+    overflow, and selections agree with the unscaled sums.  Returns ``(sums,
+    duplicate_pair, x, k)``: the sums are in units of 2^(p*k) (distances in
+    units of 2^k for p other than 2 and 4), ``duplicate_pair`` is the
+    row-major first pair of exactly equal points, or None, and ``x`` holds
+    the scaled points.  Only pairs whose value is exactly 0 are compared, so
+    a distinct pair whose power sum underflowed is not a duplicate.
+    """
+    x, k = _power_of_two_scaled(pts)
+    sums = _pair_sums(x, p)
     m = pts.shape[0]
     for t in np.flatnonzero(sums == 0.0):
         i, j = _pair_at(int(t), m)
         if np.array_equal(pts[i], pts[j]):
-            return sums, (i, j), k
-    return sums, None, k
+            return sums, (i, j), x, k
+    return sums, None, x, k
+
+
+def _underflowed(sums: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Row-major positions of the pair sums that may have lost digits to underflow.
+
+    Each of the n terms of a sum loses at most one subnormal unit, so a sum
+    at or above n times the smallest normal float is accurate to about one
+    rounding.  Below that (scaled points about 1e-77 apart for p = 4, 1e-154
+    for p = 2) the sums no longer order the distances.
+    """
+    return np.flatnonzero(sums < x.shape[1] * sys.float_info.min)
+
+
+def _repriced(x: np.ndarray, positions: np.ndarray, p: float) -> np.ndarray:
+    """:func:`p_norm` distances of the pairs at row-major ``positions`` of the rows ``x``."""
+    m = x.shape[0]
+    pairs = (_pair_at(int(t), m) for t in positions)
+    return np.array([p_norm(x[j] - x[i], p) for i, j in pairs])
 
 
 def ratio_report(config: Configuration) -> RatioReport:
@@ -276,19 +303,26 @@ def ratio_report(config: Configuration) -> RatioReport:
         ``ratio == max_dist / min_dist`` as computed; the arg pairs identify a
         maximizing and a minimizing pair (first encountered on ties).
     """
-    pts = config.points
-    m = pts.shape[0]
-    sums, dup, k = _pair_power_scan(pts, config.p)
+    m = config.size
+    sums, dup, x, k = _pair_power_scan(config.points, config.p)
     if dup is not None:
         raise ValueError(f"duplicate points at indices {dup}: distance ratio is undefined")
-    imax, jmax = _pair_at(int(np.argmax(sums)), m)
-    imin, jmin = _pair_at(int(np.argmin(sums)), m)
-    x = np.ldexp(pts[[imax, jmax, imin, jmin]], -k)
+    tmax = int(np.argmax(sums))
+    tmin = int(np.argmin(sums))
+    low = _underflowed(sums, x)
+    if low.size:
+        # the extremes among underflowed sums are chosen by their p_norm distances
+        dists = _repriced(x, low, config.p)
+        tmin = int(low[np.argmin(dists)])
+        if low.size == sums.size:
+            tmax = int(low[np.argmax(dists)])
+    imax, jmax = _pair_at(tmax, m)
+    imin, jmin = _pair_at(tmin, m)
     try:
-        max_dist = math.ldexp(p_norm(x[0] - x[1], config.p), k)
+        max_dist = math.ldexp(p_norm(x[jmax] - x[imax], config.p), k)
     except OverflowError:
         raise ValueError("the maximum distance exceeds the floating-point range") from None
-    min_dist = math.ldexp(p_norm(x[2] - x[3], config.p), k)
+    min_dist = math.ldexp(p_norm(x[jmin] - x[imin], config.p), k)
     return RatioReport(
         max_dist=max_dist,
         min_dist=min_dist,
@@ -307,8 +341,7 @@ def is_equilateral(config: Configuration, tol: float = DEFAULT_TOL) -> tuple[boo
     """
     if tol < 0:
         raise ValueError("tol must be >= 0")
-    pts = config.points
-    sums, dup, k = _pair_power_scan(pts, config.p)
+    sums, dup, x, k = _pair_power_scan(config.points, config.p)
     if dup is not None:
         raise ValueError(f"duplicate points at indices {dup}: equilateral test is undefined")
     # distances in units of 2^k: the verdict is scale-free, only lam is mapped back
@@ -318,6 +351,9 @@ def is_equilateral(config: Configuration, tol: float = DEFAULT_TOL) -> tuple[boo
         dists = np.sqrt(sums)
     else:
         dists = sums
+    low = _underflowed(sums, x)
+    if low.size:
+        dists[low] = _repriced(x, low, config.p)
     dmax = float(np.max(dists))
     dmin = float(np.min(dists))
     if dmax - dmin <= tol * dmax:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from lp_extremal.errors import NumericalBreakdown
-from lp_extremal.lpgeom import Configuration, _pair_power_scan
+from lp_extremal.lpgeom import Configuration, _pair_power_scan, _power_of_two_scaled
 
 __all__ = [
     "RadonCertificate",
@@ -60,8 +60,7 @@ def _null_vector(pts: np.ndarray):
     accepted pivot and the scale exponent k.
     """
     m, n = pts.shape
-    k = int(np.frexp(np.max(np.abs(pts)))[1])
-    x = np.ldexp(pts, -k)
+    x, k = _power_of_two_scaled(pts)
     x -= x.mean(axis=0)
     a = np.empty((n + 1, m))
     a[0] = 1.0
@@ -369,7 +368,7 @@ def audit_chain(
     if sorted(cert.side_a + cert.side_b) != list(range(m)):
         raise ValueError("certificate sides do not cover the configuration's indices")
 
-    sums, dup, k = _pair_power_scan(config.points, 4.0)
+    sums, dup, x, k = _pair_power_scan(config.points, 4.0)
     if dup is not None:
         raise ValueError(f"duplicate points at indices {dup}; ratio undefined")
     m4 = float(np.max(sums))
@@ -378,7 +377,7 @@ def audit_chain(
     m4_raw = _unscaled("M^4", m4, k, positive=True)
     _unscaled("mu^4", mu4, k, positive=True)
 
-    shifted = np.ldexp(config.points, -k) - np.ldexp(cert.common_point, -k)
+    shifted = x - np.ldexp(cert.common_point, -k)
     a_second, a_fourth = _weighted_moments(cert.alphas, shifted[list(cert.side_a)])
     b_second, b_fourth = _weighted_moments(cert.betas, shifted[list(cert.side_b)])
     sum_sq_a = math.fsum((cert.alphas ** 2).tolist())

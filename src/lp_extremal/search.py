@@ -12,8 +12,6 @@ same walk prefix and the result can only improve.
 """
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,19 +135,6 @@ def _run_restart(seed_pts: np.ndarray, evals: int, rng: np.random.Generator):
     return public_best, public_best_pts
 
 
-def _resolve_thread_cap(restarts: int) -> int:
-    raw = os.environ.get("LP_EXTREMAL_THREADS")
-    if raw is None:
-        return min(restarts, os.cpu_count() or 1)
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ValueError(f"LP_EXTREMAL_THREADS must be an integer, got {raw!r}") from None
-    if cap < 1:
-        raise ValueError(f"LP_EXTREMAL_THREADS must be >= 1, got {cap}")
-    return min(restarts, cap)
-
-
 def minimize_ratio(n, budget, seeds="auto", rng_seed=0) -> SearchResult:
     """Minimize the 4-norm distance ratio over n+2 points in R^n.
 
@@ -158,8 +143,8 @@ def minimize_ratio(n, budget, seeds="auto", rng_seed=0) -> SearchResult:
     list of Configurations overrides the restart set.  The budget is
     split evenly across restarts (remainder to the earlier ones) and
     counts candidate evaluations.  Deterministic for fixed inputs: each
-    restart owns a child generator spawned from rng_seed, and restarts
-    combine by (ratio, restart index) regardless of completion order.
+    restart owns a child generator spawned from rng_seed, the restarts
+    run in index order, and they combine by (ratio, restart index).
     """
     if not isinstance(n, int) or isinstance(n, bool):
         raise ValueError(f"n must be an integer, got {n!r}")
@@ -201,21 +186,13 @@ def minimize_ratio(n, budget, seeds="auto", rng_seed=0) -> SearchResult:
     restarts = len(seed_arrays)
     base, extra = divmod(budget, restarts)
     allocs = [base + (1 if r < extra else 0) for r in range(restarts)]
-    jobs = [
-        (r, seed_arrays[r], allocs[r], np.random.default_rng(walk_keys[r]))
+    outcomes = [
+        _run_restart(seed_arrays[r], allocs[r], np.random.default_rng(walk_keys[r]))
         for r in range(restarts)
         if allocs[r] > 0
     ]
-
-    cap = _resolve_thread_cap(len(jobs))
-    if cap == 1:
-        outcomes = [(r, _run_restart(pts, ev, rng)) for r, pts, ev, rng in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=cap) as pool:
-            futures = [(r, pool.submit(_run_restart, pts, ev, rng)) for r, pts, ev, rng in jobs]
-            outcomes = [(r, fut.result()) for r, fut in futures]
-
-    best_r, (best_ratio, best_pts) = min(outcomes, key=lambda o: (o[1][0], o[0]))
+    # min keeps the first of equal ratios: ties go to the lowest restart index
+    best_ratio, best_pts = min(outcomes, key=lambda o: o[0])
     bound = schuette_bound(n, 4)
     if best_ratio < bound - 1e-9:
         raise NumericalBreakdown(

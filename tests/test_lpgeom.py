@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -303,8 +304,9 @@ class TestPairKernel:
     def test_sums_match_the_row_scan_bit_for_bit(self, p, n):
         for pts in kernel_inputs(n).values():
             ref, k = reference_row_scan(pts, p)
-            sums, dup, k_scan = lpgeom._pair_power_scan(pts, p)
+            sums, dup, x, k_scan = lpgeom._pair_power_scan(pts, p)
             assert dup is None and k_scan == k
+            assert np.array_equal(x, np.ldexp(pts, -k))
             assert np.array_equal(sums, ref)
 
     @pytest.mark.parametrize("p", [2.0, 4.0])
@@ -319,7 +321,7 @@ class TestPairKernel:
             for budget in (m * (m - 1) // 2 * n + offset, (m - 1) * (m - 1) * n + offset,
                            3 * n * (m - 1) + offset, 50):
                 monkeypatch.setattr(lpgeom, "PAIR_BLOCK_ELEMENTS", budget)
-                sums, _, _ = lpgeom._pair_power_scan(pts, p)
+                sums = lpgeom._pair_power_scan(pts, p)[0]
                 assert np.array_equal(sums, ref), (kind, budget)
 
     @pytest.mark.parametrize("p", [1.5, 3.0, 2000.0])
@@ -342,7 +344,7 @@ class TestPairKernel:
         pts = build_configuration(6).config.points
         ref = brute_force_pairs(pts, 4.0)
         rep = ratio_report(Configuration(pts, 4.0))
-        sums, _, _ = lpgeom._pair_power_scan(pts, 4.0)
+        sums = lpgeom._pair_power_scan(pts, 4.0)[0]
         order = [(i, j) for i in range(8) for j in range(i + 1, 8)]
         assert rep.argmax_pair == order[int(np.flatnonzero(sums == sums.max())[0])]
         assert rep.argmin_pair == order[int(np.flatnonzero(sums == sums.min())[0])]
@@ -358,16 +360,54 @@ class TestPairKernel:
 
     def test_underflowed_sum_is_not_a_duplicate(self):
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [1e-100, 0.0]])
-        sums, dup, _ = lpgeom._pair_power_scan(pts, 4.0)
+        sums, dup, _, _ = lpgeom._pair_power_scan(pts, 4.0)
         assert sums[1] == 0.0 and dup is None
         rep = ratio_report(Configuration(pts, 4.0))
         assert rep.argmin_pair == (0, 2)
         assert rep.min_dist == 1e-100
         assert is_equilateral(Configuration(pts, 4.0)) == (False, None)
 
+    def test_underflowed_pairs_are_ordered_by_distance(self):
+        # the first set's pairs (0, 1) and (2, 3) both sum to 0 after scaling;
+        # the true minimum is the second, at 1e-100
+        rep = ratio_report(Configuration([[0, 0], [3e-100, 0], [1, 0], [1, 1e-100]], 4.0))
+        assert (rep.min_dist, rep.argmin_pair) == (1e-100, (2, 3))
+        assert (rep.max_dist, rep.argmax_pair) == (1.0, (0, 2))
+        # every pair underflows, so the maximum is repriced too
+        pts = [[1, 0], [1, 1e-100], [1, 3e-100]]
+        rep = ratio_report(Configuration(pts, 4.0))
+        assert (rep.max_dist, rep.argmax_pair) == (3e-100, (0, 2))
+        assert (rep.min_dist, rep.argmin_pair) == (1e-100, (0, 1))
+        assert rep.ratio == 3.0
+        assert is_equilateral(Configuration(pts, 4.0)) == (False, None)
+
+    def test_subnormal_sums_are_repriced(self):
+        # pairs (0, 1) and (1, 2) both sum to 3 subnormal units (1.5e-323)
+        # after scaling, though (1, 2) is the shorter
+        pts = [[1, 0], [1, 4.04e-81], [1, 8.04e-81]]
+        sums = lpgeom._pair_power_scan(np.array(pts), 4.0)[0]
+        assert 0.0 < sums[0] == sums[2] < sys.float_info.min
+        rep = ratio_report(Configuration(pts, 4.0))
+        assert rep.argmin_pair == (1, 2)
+        assert rep.min_dist == pytest.approx(4e-81, rel=1e-12)
+
+    def test_underflowed_ties_report_the_lowest_row_major_pair(self):
+        pts = [[1, 0, 0], [1, 1e-100, 0], [1, 0, 1e-100], [1, 1e-100, 1e-100]]
+        rep = ratio_report(Configuration(pts, 4.0))
+        assert rep.argmin_pair == (0, 1)
+        assert rep.argmax_pair == (0, 3)
+
+    def test_underflowed_equilateral_set_keeps_its_distance(self):
+        side = 1e-100
+        pts = [[1, 0, 0], [1, side, 0], [1, side / 2, side * 3 ** 0.5 / 2]]
+        flag, lam = is_equilateral(Configuration(pts, 2.0))
+        assert flag and lam == pytest.approx(side, rel=1e-12)
+        flag, lam = is_equilateral(Configuration(pts, 4.0))
+        assert not flag and lam is None
+
     def test_general_p_values_are_distances(self):
         pts = kernel_inputs(5)["random"]
         for p in (1.0, 3.0, 7.5):
-            vals, _, k = lpgeom._pair_power_scan(pts, p)
+            vals, _, _, k = lpgeom._pair_power_scan(pts, p)
             ref = brute_force_pairs(pts, p)
             assert np.allclose(np.ldexp(vals, k), list(ref.values()), rtol=1e-12, atol=0)

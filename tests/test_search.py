@@ -1,6 +1,13 @@
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import lp_extremal
 from lp_extremal.bounds import schuette_bound
 from lp_extremal.construct import build_configuration
 from lp_extremal.lpgeom import Configuration, ratio_report
@@ -18,21 +25,42 @@ class TestDeterminism:
         assert np.array_equal(a.best_config.points, b.best_config.points)
         assert a.to_dict() == b.to_dict()
 
-    def test_thread_cap_does_not_change_result(self, monkeypatch):
-        monkeypatch.setenv("LP_EXTREMAL_THREADS", "1")
-        serial = minimize_ratio(3, 2000, "auto", 5)
-        monkeypatch.setenv("LP_EXTREMAL_THREADS", "4")
-        parallel = minimize_ratio(3, 2000, "auto", 5)
-        assert serial.best_ratio == parallel.best_ratio
-        assert np.array_equal(serial.best_config.points, parallel.best_config.points)
+    @pytest.mark.parametrize(
+        "n, budget, seed, ratio",
+        [
+            (2, 200, 1, 1.6597881829410315),
+            (8, 200, 7, 1.4817865617300854),
+            (32, 1000, 3, 1.2262884817725388),
+            (64, 300, 5, 1.1501798606664433),
+        ],
+    )
+    def test_pinned_results(self, n, budget, seed, ratio):
+        res = minimize_ratio(n, budget, "auto", seed)
+        assert res.best_ratio == ratio
+        assert res.evaluations == budget
 
-    def test_invalid_thread_cap(self, monkeypatch):
-        monkeypatch.setenv("LP_EXTREMAL_THREADS", "zero")
-        with pytest.raises(ValueError):
-            minimize_ratio(2, 10, "auto", 0)
-        monkeypatch.setenv("LP_EXTREMAL_THREADS", "0")
-        with pytest.raises(ValueError):
-            minimize_ratio(2, 10, "auto", 0)
+    def test_starts_no_thread(self, monkeypatch):
+        def refuse(thread):
+            raise AssertionError(f"minimize_ratio started a thread: {thread!r}")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        minimize_ratio(3, 400, "auto", 5)
+
+    def test_cli_import_leaves_out_concurrent_futures(self):
+        src = str(Path(lp_extremal.__file__).resolve().parents[1])
+        env = {
+            **os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+        }
+        # the concurrent package holds only the futures module and its pools
+        script = (
+            "import sys, lp_extremal.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'concurrent'))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+        )
+        assert proc.stdout.strip() == "[]"
 
 
 class TestSearchQuality:

@@ -13,7 +13,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from itertools import repeat
 
@@ -33,7 +32,7 @@ from lp_extremal.radon import (
 )
 from lp_extremal.search import minimize_ratio
 
-__all__ = ["main", "RunManifest"]
+__all__ = ["main"]
 
 SCHEMA_VERSION = 1
 
@@ -46,37 +45,16 @@ class _InputError(Exception):
     """Unreadable or structurally invalid input file (exit code 2)."""
 
 
-@dataclass(frozen=True)
-class RunManifest:
+def _manifest(args, argv) -> dict:
     """Provenance block embedded in every CLI output."""
-
-    command: str
-    argv: tuple
-    tol: float
-    rng_seed: int
-    version: str
-    timestamp: str
-
-    def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "argv": list(self.argv),
-            "tol": self.tol,
-            "rng_seed": self.rng_seed,
-            "version": self.version,
-            "timestamp": self.timestamp,
-        }
-
-
-def _manifest(args, argv) -> RunManifest:
-    return RunManifest(
-        command=args.command,
-        argv=tuple(argv),
-        tol=getattr(args, "tol", None),
-        rng_seed=getattr(args, "seed", None),
-        version=__version__,
-        timestamp=datetime.now(timezone.utc).isoformat(),
-    )
+    return {
+        "command": args.command,
+        "argv": list(argv),
+        "tol": getattr(args, "tol", None),
+        "rng_seed": getattr(args, "seed", None),
+        "version": __version__,
+        "timestamp": datetime.now(timezone.utc).isoformat(),
+    }
 
 
 def _format_json(value, indent=0) -> str:
@@ -116,23 +94,27 @@ def _format_json(value, indent=0) -> str:
     raise TypeError(f"cannot serialize {type(value).__name__} to JSON")
 
 
-def _emit(args, manifest: RunManifest, result: dict, text: str, csv_body=None) -> None:
-    if getattr(args, "csv", False):
+def _write(path: str, payload: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(payload)
+    except OSError as exc:
+        raise _InputError(f"cannot write {path}: {exc}") from None
+
+
+def _emit(args, result: dict, text: str, csv_body=None) -> None:
+    if args.csv:
         if csv_body is None:
             raise ValueError("CSV output is only available for 'bound --sweep'")
-        compact = json.dumps(manifest.to_dict(), separators=(",", ":"))
+        compact = json.dumps(args.manifest, separators=(",", ":"))
         payload = f"# manifest: {compact}\n{csv_body}"
-    elif getattr(args, "json", False) or args.out is not None:
-        envelope = {"schema": SCHEMA_VERSION, "manifest": manifest.to_dict(), "result": result}
+    elif args.json or args.out is not None:
+        envelope = {"schema": SCHEMA_VERSION, "manifest": args.manifest, "result": result}
         payload = _format_json(envelope) + "\n"
     else:
         payload = text if text.endswith("\n") else text + "\n"
     if args.out is not None:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(payload)
-        except OSError as exc:
-            raise _InputError(f"cannot write {args.out}: {exc}") from None
+        _write(args.out, payload)
     else:
         sys.stdout.write(payload)
 
@@ -160,22 +142,8 @@ def _load_configuration(path: str, p_override=None) -> Configuration:
     p = p_override if p_override is not None else data["p"]
     try:
         return Configuration(np.asarray(data["points"], dtype=float), float(p))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{path}: {exc}") from None
-
-
-def _write_configuration_file(path: str, manifest: RunManifest, config, extra: dict) -> None:
-    body = {
-        "schema": SCHEMA_VERSION,
-        "manifest": manifest.to_dict(),
-        **config.to_dict(),
-        **extra,
-    }
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(_format_json(body) + "\n")
-    except OSError as exc:
-        raise _InputError(f"cannot write {path}: {exc}") from None
 
 
 def _parse_sweep(text: str):
@@ -188,7 +156,7 @@ def _parse_sweep(text: str):
         raise ValueError(f"sweep endpoints must be integers, got {text!r}") from None
 
 
-def _cmd_bound(args, manifest):
+def _cmd_bound(args):
     p = args.p
     if args.sweep is not None:
         lo, hi = _parse_sweep(args.sweep)
@@ -206,7 +174,7 @@ def _cmd_bound(args, manifest):
     return row, repr(row["bound"]), None
 
 
-def _cmd_construct(args, manifest):
+def _cmd_construct(args):
     built = build_configuration(args.n)
     diagnostics = {
         "expected_ratio": built.expected_ratio,
@@ -237,15 +205,16 @@ def _cmd_construct(args, manifest):
     return result, text, None
 
 
-def _cmd_certify(args, manifest):
-    config = _load_configuration(args.file)
+def _certificate(args, config):
+    """The Radon certificate of config and the result fields certify and audit share."""
     tol = args.tol if args.tol is not None else WEIGHT_RESIDUAL_TOL
     cert = radon_partition(config.points, tol=tol)
-    result = {
-        "certificate": cert.to_dict(),
-        "certificate_bound": certificate_bound(cert),
-        "interpretation": "lower bound on (max dist / min dist)^4 in the 4-norm",
-    }
+    return cert, {"certificate": cert.to_dict(), "certificate_bound": certificate_bound(cert)}
+
+
+def _cmd_certify(args):
+    cert, result = _certificate(args, _load_configuration(args.file))
+    result["interpretation"] = "lower bound on (max dist / min dist)^4 in the 4-norm"
     text = (
         f"certificate = {cert.certificate!r} "
         f"(sides {sorted(cert.side_a)} / {sorted(cert.side_b)}, "
@@ -254,18 +223,13 @@ def _cmd_certify(args, manifest):
     return result, text, None
 
 
-def _cmd_audit(args, manifest):
+def _cmd_audit(args):
     config = _load_configuration(args.file)
-    part_tol = args.tol if args.tol is not None else WEIGHT_RESIDUAL_TOL
+    cert, result = _certificate(args, config)
     chain_tol = args.tol if args.tol is not None else CHAIN_TOL
-    cert = radon_partition(config.points, tol=part_tol)
     audit = audit_chain(config, cert, tol=chain_tol)
-    result = {
-        "certificate": cert.to_dict(),
-        "certificate_bound": certificate_bound(cert),
-        "audit": audit.to_dict(),
-        "all_hold": audit.all_hold(),
-    }
+    result["audit"] = audit.to_dict()
+    result["all_hold"] = audit.all_hold()
     lines = [
         f"{rec.name:<9} lhs = {rec.lhs!r:<24} rhs = {rec.rhs!r:<24} margin = {rec.margin:.3e}"
         for rec in audit.records()
@@ -275,16 +239,20 @@ def _cmd_audit(args, manifest):
     return result, "\n".join(lines), None
 
 
-def _cmd_search(args, manifest):
+def _cmd_search(args):
     if args.from_file is not None:
         seeds = [_load_configuration(args.from_file)]
     else:
         seeds = "auto"
     res = minimize_ratio(args.n, args.budget, seeds, args.seed)
     if args.best_out is not None:
-        _write_configuration_file(
-            args.best_out, manifest, res.best_config, {"best_ratio": res.best_ratio}
-        )
+        body = {
+            "schema": SCHEMA_VERSION,
+            "manifest": args.manifest,
+            **res.best_config.to_dict(),
+            "best_ratio": res.best_ratio,
+        }
+        _write(args.best_out, _format_json(body) + "\n")
     result = res.to_dict()
     text = (
         f"best ratio {res.best_ratio!r} after {res.evaluations} evaluations "
@@ -293,7 +261,7 @@ def _cmd_search(args, manifest):
     return result, text, None
 
 
-def _cmd_check_equilateral(args, manifest):
+def _cmd_check_equilateral(args):
     config = _load_configuration(args.file, p_override=args.p)
     tol = args.tol if args.tol is not None else DEFAULT_TOL
     flag, lam = is_equilateral(config, tol)
@@ -328,38 +296,30 @@ def _cmd_check_equilateral(args, manifest):
     return result, text, None
 
 
-_DISPATCH = {
-    "bound": _cmd_bound,
-    "construct": _cmd_construct,
-    "certify": _cmd_certify,
-    "audit": _cmd_audit,
-    "search": _cmd_search,
-    "check-equilateral": _cmd_check_equilateral,
-}
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lp-extremal",
         description=(
-            "Distance-ratio bounds, explicit near-optimal constructions, "
+            "Distance-ratio bounds, explicit two-distance constructions, "
             "Radon certificates and sharpness search for finite point sets "
             "in l_p spaces."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sp):
+    def add_common(sp, handler, tol=False):
         sp.add_argument("--json", action="store_true", help="emit a JSON envelope")
         sp.add_argument("--csv", action="store_true", help="emit CSV (bound --sweep only)")
-        sp.add_argument("--tol", type=float, default=None, help="override module tolerances")
+        if tol:
+            sp.add_argument("--tol", type=float, default=None, help="override module tolerances")
         sp.add_argument("--out", default=None, help="write output to this file")
+        sp.set_defaults(handler=handler)
 
     sp = sub.add_parser("bound", help="closed-form ratio bound and threshold")
     sp.add_argument("--n", type=int, default=None, help="dimension")
     sp.add_argument("--p", type=float, default=4.0, choices=[2.0, 4.0], help="exponent")
     sp.add_argument("--sweep", default=None, metavar="N1..N2", help="dimension range")
-    add_common(sp)
+    add_common(sp, _cmd_bound)
 
     sp = sub.add_parser("construct", help="build the explicit n+2 point configuration")
     sp.add_argument("--n", type=int, required=True, help="dimension (>= 2)")
@@ -368,15 +328,15 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="also report the rejected y < 0 branch root",
     )
-    add_common(sp)
+    add_common(sp, _cmd_construct)
 
     sp = sub.add_parser("certify", help="Radon partition certificate for a configuration file")
     sp.add_argument("file", help="configuration JSON with p and points")
-    add_common(sp)
+    add_common(sp, _cmd_certify, tol=True)
 
     sp = sub.add_parser("audit", help="certificate plus full inequality-chain audit")
     sp.add_argument("file", help="configuration JSON with p and points")
-    add_common(sp)
+    add_common(sp, _cmd_audit, tol=True)
 
     sp = sub.add_parser("search", help="anneal for low-ratio configurations")
     sp.add_argument("--n", type=int, required=True, help="dimension (>= 2)")
@@ -395,14 +355,25 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="FILE.json",
         help="also write the best configuration as standalone JSON",
     )
-    add_common(sp)
+    add_common(sp, _cmd_search)
 
     sp = sub.add_parser("check-equilateral", help="equilateral test with cardinality context")
     sp.add_argument("file", help="configuration JSON with points")
     sp.add_argument("--p", type=float, default=None, help="exponent override")
-    add_common(sp)
+    add_common(sp, _cmd_check_equilateral, tol=True)
 
     return parser
+
+
+def _diagnostic(value):
+    """A diagnostics value for JSON: arrays as lists, a non-finite float as its repr."""
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    if isinstance(value, (list, tuple)):
+        return [_diagnostic(v) for v in value]
+    if isinstance(value, (float, np.floating)) and not math.isfinite(value):
+        return repr(float(value))
+    return value
 
 
 def _error_object(exc, code: int) -> str:
@@ -410,15 +381,12 @@ def _error_object(exc, code: int) -> str:
         "schema": SCHEMA_VERSION,
         "error": {
             "type": type(exc).__name__,
-            "message": str(exc).split(" (diagnostics: ")[0],
+            "message": str(exc.args[0]) if len(exc.args) == 1 else str(exc),
             "exit_code": code,
         },
     }
     if isinstance(exc, NumericalBreakdown):
-        body["error"]["diagnostics"] = {
-            k: (v.tolist() if isinstance(v, np.ndarray) else v)
-            for k, v in exc.diagnostics.items()
-        }
+        body["error"]["diagnostics"] = {k: _diagnostic(v) for k, v in exc.diagnostics.items()}
     return _format_json(body) + "\n"
 
 
@@ -426,14 +394,15 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = _build_parser()
     args = parser.parse_args(argv)
-    manifest = _manifest(args, argv)
+    # the manifest travels with the parsed arguments to every writer
+    args.manifest = _manifest(args, argv)
     try:
-        result, text, csv_body = _DISPATCH[args.command](args, manifest)
-        _emit(args, manifest, result, text, csv_body)
+        result, text, csv_body = args.handler(args)
+        _emit(args, result, text, csv_body)
     except _InputError as exc:
         sys.stdout.write(_error_object(exc, 2))
         return 2
-    except (ValueError, NumericalBreakdown) as exc:
+    except (ValueError, OverflowError, NumericalBreakdown) as exc:
         sys.stdout.write(_error_object(exc, 1))
         return 1
     return 0

@@ -1,4 +1,4 @@
-"""Explicit (n+2)-point sets in the 4-norm with near-minimal distance ratio.
+"""Explicit (n+2)-point sets in the 4-norm with only two distinct distances.
 
 The even-dimensional building block lives in R^k: the k coordinate
 permutations of a = (1+x, x, ..., x) together with b = (y, ..., y)
@@ -113,11 +113,11 @@ def _bisect_newton(poly, dpoly, lo, hi, label, diagnostics):
     return root
 
 
-def _root_of_f_equals(k: int, target_fourth: float, lo: float, hi: float, label: str):
-    """Root of (1+t)^4 + (k-1) t^4 - target_fourth on [lo, hi]."""
+def _root_of_f_equals(k: int, lo: float, hi: float, label: str):
+    """Root of (1+t)^4 + (k-1) t^4 - 2, i.e. of f(t) = (2/k)^{1/4}, on [lo, hi]."""
 
     def poly(t):
-        return math.fsum([(1.0 + t) ** 4, (k - 1.0) * t ** 4, -target_fourth])
+        return math.fsum([(1.0 + t) ** 4, (k - 1.0) * t ** 4, -2.0])
 
     def dpoly(t):
         return 4.0 * (1.0 + t) ** 3 + 4.0 * (k - 1.0) * t ** 3
@@ -131,7 +131,7 @@ def solve_alpha(k) -> float:
     Lies strictly below -k^{-1/4}; at k = 1 it is exactly -1 - 2^{1/4}.
     """
     k = _check_k(k)
-    alpha = _root_of_f_equals(k, 2.0, -1.0 - 2.0 ** 0.25, -float(k) ** -0.25, "alpha")
+    alpha = _root_of_f_equals(k, -1.0 - 2.0 ** 0.25, -float(k) ** -0.25, "alpha")
     if not alpha < -float(k) ** -0.25:
         raise NumericalBreakdown(
             "negative branch root failed its bracket constraint",
@@ -147,7 +147,7 @@ def solve_beta(k) -> float:
     only as a diagnostic, the construction never uses it.
     """
     k = _check_k(k)
-    beta = _root_of_f_equals(k, 2.0, 0.0, 1.0, "beta")
+    beta = _root_of_f_equals(k, 0.0, 1.0, "beta")
     if not 0.0 < beta < float(k) ** -0.25:
         raise NumericalBreakdown(
             "positive branch root failed its bracket constraint",
@@ -302,37 +302,22 @@ def build_configuration(n) -> BuiltConfiguration:
         raise ValueError(f"n must be an integer, got {n!r}") from None
     if n < 2:
         raise ValueError(f"need dimension n >= 2, got {n}")
-    if n % 2 == 0:
-        k = n // 2
-        sol = solve_system(k)
-        block = _equilateral_block(sol)
-        m = n + 2
-        pts = np.zeros((m, n))
-        pts[: k + 1, :k] = block
-        pts[k + 1 :, k:] = block
-        # cross distance^4 = 2 k y^4, within = 2; ratio = 1 / (k^{1/4} y)
-        expected = 1.0 / (float(k) ** 0.25 * sol.y)
-        return BuiltConfiguration(
-            n=n,
-            config=Configuration(pts, 4.0),
-            expected_ratio=expected,
-            solution_even_part=sol,
-        )
-    k = (n - 1) // 2
+    k = n // 2
     sol_a = solve_system(k)
-    sol_b = solve_system(k + 1)
-    block_a = _equilateral_block(sol_a)  # k+1 points in R^k
-    block_b = _equilateral_block(sol_b)  # k+2 points in R^{k+1}
-    m = n + 2
-    pts = np.zeros((m, n))
-    pts[: k + 1, :k] = block_a
-    pts[k + 1 :, k:] = block_b
-    cross4 = math.fsum([k * sol_a.y ** 4, (k + 1) * sol_b.y ** 4])
-    expected = 2.0 ** 0.25 / cross4 ** 0.25
+    sol_b = solve_system(k + 1) if n % 2 else sol_a
+    pts = np.zeros((n + 2, n))
+    pts[: k + 1, :k] = _equilateral_block(sol_a)  # k+1 points in R^k
+    pts[k + 1 :, k:] = _equilateral_block(sol_b)  # n-k+1 points in R^{n-k}
+    if n % 2:
+        cross4 = math.fsum([k * sol_a.y ** 4, (k + 1) * sol_b.y ** 4])
+        expected = 2.0 ** 0.25 / cross4 ** 0.25
+    else:
+        # cross distance^4 = 2 k y^4, within = 2; ratio = 1 / (k^{1/4} y)
+        expected = 1.0 / (float(k) ** 0.25 * sol_a.y)
     return BuiltConfiguration(
         n=n,
         config=Configuration(pts, 4.0),
         expected_ratio=expected,
         solution_even_part=sol_a,
-        solution_odd_part=sol_b,
+        solution_odd_part=sol_b if n % 2 else None,
     )

@@ -50,11 +50,13 @@ def _null_vector(pts: np.ndarray):
     The dependence is affine-invariant, so the (n+1) x (n+2) homogeneous
     system is built on coordinates scaled by 2^-k, where 2^k is the
     power of two just above max|x| (exact, and applied before centering
-    so nothing overflows), and then centered on their mean.  Forward
-    elimination with partial pivoting updates only the trailing block;
-    back substitution sets the last non-pivot column to 1 and any other
-    free columns to 0.  Plain numpy, no LAPACK or BLAS-3 call, so the
-    result does not depend on the BLAS thread count.
+    so nothing overflows), and then centered on their mean.  Pivots count
+    as zero below 1e-13 times the largest centered coordinate, so a set
+    whose spread is tiny next to its distance from the origin keeps its
+    rank.  Forward elimination with partial pivoting updates only the
+    trailing block; back substitution sets the last non-pivot column to 1
+    and any other free columns to 0.  Plain numpy, no LAPACK or BLAS-3
+    call, so the result does not depend on the BLAS thread count.
 
     Returns (lambda, condition): condition holds the rank, the smallest
     accepted pivot and the scale exponent k.
@@ -66,7 +68,7 @@ def _null_vector(pts: np.ndarray):
     a[0] = 1.0
     a[1:] = x.T
     n_rows = n + 1
-    tiny = 1e-13 * max(1.0, float(np.max(np.abs(a))))
+    tiny = 1e-13 * float(np.max(np.abs(x)))
     pivot_cols = []
     row = 0
     for col in range(m):

@@ -19,7 +19,7 @@ import numpy as np
 from lp_extremal.bounds import schuette_bound
 from lp_extremal.construct import build_configuration
 from lp_extremal.errors import NumericalBreakdown
-from lp_extremal.lpgeom import Configuration, _pair_sums, ratio_report
+from lp_extremal.lpgeom import Configuration, _pair_sums, _power_of_two_scaled, ratio_report
 
 __all__ = ["SearchResult", "minimize_ratio"]
 
@@ -86,6 +86,9 @@ def _run_restart(seed_pts: np.ndarray, evals: int, rng: np.random.Generator):
     monotone in the budget by construction.
     """
     m, n = seed_pts.shape
+    # the ratio is scale-free; a power of two keeps the seed exact and its
+    # fourth powers inside the float range
+    seed_pts = _power_of_two_scaled(seed_pts)[0]
     s4 = _pair_sums(seed_pts, 4.0)
     mx, mn = float(s4.max()), float(s4.min())
     if mn <= 0.0:

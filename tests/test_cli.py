@@ -1,5 +1,7 @@
 """Command-line interface: manifests, round-trips, exit codes."""
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -9,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lp_extremal
 from lp_extremal import (
@@ -37,6 +41,8 @@ def write_config(path, points, p=4.0):
 
 
 UNIT_SQUARE = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
+# a JSON integer that no float can hold
+HUGE = 10 ** 400
 
 
 class TestBound:
@@ -332,6 +338,37 @@ class TestErrors:
             assert body["error"]["type"] == "NumericalBreakdown"
             assert "scale_exponent" in body["error"]["diagnostics"]
 
+    @pytest.mark.parametrize(
+        "argv, body",
+        [
+            (["certify"], {"p": 4, "points": [[0, 0], [1, 0], [1, 1], [0, HUGE]]}),
+            (["audit"], {"p": 4, "points": [[0, 0], [1, 0], [1, 1], [0, HUGE]]}),
+            (["check-equilateral"], {"p": 4, "points": [[0, 0], [1, 0], [HUGE, 1]]}),
+            (["search", "--n", "2", "--budget", "10", "--from"], {"p": 4, "points": [[HUGE]]}),
+            (["certify"], {"p": HUGE, "points": UNIT_SQUARE}),
+            (["bound", "--n", str(HUGE)], None),
+        ],
+    )
+    def test_oversized_integer_is_a_named_error(self, capsys, tmp_path, argv, body):
+        if body is not None:
+            path = tmp_path / "huge.json"
+            path.write_text(json.dumps(body))
+            argv = [*argv, str(path)]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        error = json.loads(captured.out)["error"]
+        assert error["exit_code"] == 1
+        assert "too large" in error["message"]
+        assert captured.err == ""
+
+    def test_non_finite_diagnostics_are_written_as_text(self, capsys, tmp_path):
+        cfg = write_config(tmp_path / "far.json", [[0.0], [1e308], [1e308]])
+        code, body = run_json(capsys, "certify", cfg)
+        assert code == 1
+        assert body["error"]["type"] == "NumericalBreakdown"
+        assert body["error"]["diagnostics"]["residual"] == "inf"
+
     def test_max_distance_beyond_float_range_is_named(self, capsys, tmp_path):
         pts = [[1e308, 0.0], [-1e308, 0.0], [0.0, 1.7e308], [0.0, -1.7e308]]
         cfg = write_config(tmp_path / "big.json", pts)
@@ -388,3 +425,76 @@ class TestEntryPoints:
         assert script.returncode == module.returncode == 0
         assert script.stdout == module.stdout
         assert float(script.stdout) == schuette_bound(4, 2)
+
+
+# Malformed configuration files for the fuzz test below.
+NUMBERS = st.one_of(
+    st.integers(-3, 3),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([1e308, -1.7e308, 2.2e-308, -5e-324]),
+)
+COORDINATES = st.one_of(
+    NUMBERS,
+    st.sampled_from([math.nan, math.inf, HUGE, -HUGE, True, None]),
+    st.text(max_size=2),
+)
+
+
+def point_lists(coordinates):
+    """n+2 rows of n coordinates each, for n = 1..4."""
+    return st.integers(1, 4).flatmap(
+        lambda n: st.lists(
+            st.lists(coordinates, min_size=n, max_size=n), min_size=n + 2, max_size=n + 2
+        )
+    )
+
+
+WELL_FORMED = st.fixed_dictionaries(
+    {"p": st.sampled_from([4, 2.0]), "points": point_lists(NUMBERS)}
+)
+POINTS = st.one_of(
+    point_lists(NUMBERS).map(lambda pts: pts[:-1] + [pts[0]]),  # a duplicate point
+    point_lists(COORDINATES),
+    st.lists(st.lists(NUMBERS, max_size=4), max_size=6),  # ragged rows, m != n+2
+    st.lists(st.lists(st.lists(NUMBERS, max_size=2), max_size=2), max_size=3),  # too deep
+    COORDINATES,
+    st.dictionaries(st.text(max_size=2), NUMBERS, max_size=2),
+)
+EXPONENTS = st.one_of(st.sampled_from([4, 0.5, HUGE, 1e308, "4", [4]]), COORDINATES)
+DOCUMENTS = st.one_of(
+    WELL_FORMED,
+    st.fixed_dictionaries({"p": EXPONENTS, "points": POINTS}),
+    st.fixed_dictionaries({"result": st.fixed_dictionaries({"p": EXPONENTS, "points": POINTS})}),
+    st.fixed_dictionaries({}, optional={"p": EXPONENTS, "points": POINTS}),
+    st.lists(COORDINATES, max_size=2),
+)
+
+
+class TestMalformedInputFuzz:
+    @given(
+        DOCUMENTS,
+        st.sampled_from(
+            [
+                ["certify"],
+                ["audit"],
+                ["check-equilateral"],
+                ["check-equilateral", "--p", "3"],
+                ["search", "--n", "2", "--budget", "20", "--from"],
+                ["search", "--n", "3", "--budget", "7", "--from"],
+            ]
+        ),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_every_run_ends_in_a_result_or_a_json_error(self, tmp_path_factory, doc, argv):
+        path = tmp_path_factory.mktemp("fuzz") / "cfg.json"
+        path.write_text(json.dumps(doc))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([*argv, str(path), "--json"])
+        body = json.loads(out.getvalue())
+        assert code in (0, 1, 2)
+        if code:
+            assert body["error"]["exit_code"] == code
+        else:
+            assert body["manifest"]["command"] == argv[0]
+        assert "Traceback" not in err.getvalue()

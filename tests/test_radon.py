@@ -90,6 +90,13 @@ class TestRadonPartition:
         shifted = radon_partition(pts + np.array([10.0, -3.0, 0.125]))
         assert shifted.certificate == pytest.approx(base.certificate, rel=1e-9)
 
+    @pytest.mark.parametrize(
+        "scale, offset", [(1e-14, 1.0), (1e-12, 1e3), (1e-9, 1e6), (1e-3, 1e10)]
+    )
+    def test_small_square_far_from_the_origin(self, scale, offset):
+        cert = radon_partition(UNIT_SQUARE * scale + offset)
+        assert cert.certificate == 2.0
+
 
 class TestCertificateBound:
     def test_recomputes_from_weights(self):
@@ -325,6 +332,24 @@ class TestScaleAndThreads:
         except NumericalBreakdown as exc:
             # only a fourth-power moment times 2^(4k) outside the float range
             assert abs(exc.diagnostics["scale_exponent"]) > 200
+
+    @given(st.integers(2, 6), st.integers(0, 10_000), st.integers(0, 46))
+    @settings(max_examples=60, deadline=None)
+    def test_offset_far_beyond_the_spread_changes_nothing(self, n, seed, f):
+        # the offset t reaches 2^51 while x spreads over at least 1; integer
+        # coordinates below 2^53 keep every input exact, so the translated set
+        # has the same affine dependence, distances and verdicts as x
+        rng = np.random.default_rng(seed)
+        x = rng.integers(-5, 6, size=(n + 2, n)).astype(float)
+        t = np.ldexp(rng.integers(-20, 21, size=n).astype(float), f)
+        assume(len({tuple(row) for row in x}) == n + 2)
+        # full affine rank: the dependence, and so the certificate, is unique
+        assume(np.linalg.matrix_rank(np.vstack([np.ones(n + 2), x.T])) == n + 1)
+        base, cert = radon_partition(x), radon_partition(x + t)
+        assert cert.certificate == pytest.approx(base.certificate, rel=1e-9)
+        base_cfg, cfg = Configuration(x, 4.0), Configuration(x + t, 4.0)
+        assert ratio_report(cfg).ratio == ratio_report(base_cfg).ratio
+        assert is_equilateral(cfg)[0] == is_equilateral(base_cfg)[0]
 
     def test_certificate_bytes_do_not_depend_on_blas_threads(self):
         script = (

@@ -124,6 +124,14 @@ class TestSeeds:
         assert res.restarts == 1
         assert res.best_ratio <= built.expected_ratio * (1 + 1e-12)
 
+    @pytest.mark.parametrize("e", [-300, -200, 300, 530])
+    def test_power_of_two_scaled_seed_walks_the_same(self, e):
+        pts = build_configuration(3).config.points
+        base = minimize_ratio(3, 200, [Configuration(pts, 4.0)], 0)
+        res = minimize_ratio(3, 200, [Configuration(np.ldexp(pts, e), 4.0)], 0)
+        assert res.best_ratio == base.best_ratio
+        assert np.array_equal(res.best_config.points, base.best_config.points)
+
     def test_seed_validation(self):
         square = Configuration(
             np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]), 4.0

@@ -8,8 +8,9 @@ norm-equivalence factor n^{|1/4 - 1/p|}.
 """
 
 import math
-import operator
 from dataclasses import dataclass
+
+from lp_extremal.lpgeom import _check_int
 
 __all__ = [
     "schuette_bound",
@@ -19,16 +20,6 @@ __all__ = [
     "BoundTable",
     "bound_sweep",
 ]
-
-
-def _check_dimension(n) -> int:
-    try:
-        n = operator.index(n)
-    except TypeError:
-        raise ValueError(f"dimension must be an integer, got {n!r}") from None
-    if n < 1:
-        raise ValueError(f"dimension must be positive, got {n}")
-    return n
 
 
 def schuette_bound(n, p) -> float:
@@ -47,7 +38,7 @@ def schuette_bound(n, p) -> float:
         (1 + 2/n)^(1/p) for even n, (1 + 2/(n - 1/(n+2)))^(1/p) for
         odd n.  Strictly decreasing in n, always > 1.
     """
-    n = _check_dimension(n)
+    n = _check_int(n, "dimension", 1)
     if p not in (2, 4):
         raise ValueError(f"bound is proven only for p in {{2, 4}}, got {p!r}")
     if n % 2 == 0:
@@ -67,7 +58,7 @@ def epsilon_threshold(n, center_p) -> float:
     Returns center_p * ln(1 + 2/n) / ln(n + 2); positive, and of order
     2*center_p / (n ln n) as n grows.
     """
-    n = _check_dimension(n)
+    n = _check_int(n, "dimension", 1)
     if center_p not in (2, 4):
         raise ValueError(f"threshold is proven only around p in {{2, 4}}, got {center_p!r}")
     return center_p * math.log1p(2.0 / n) / math.log(n + 2)
@@ -80,7 +71,7 @@ def norm_equivalence_factor(n, p) -> float:
     within a factor n^{|1/4 - 1/p|}.  p = math.inf is accepted here
     (and only here) as the 1/p -> 0 limit.
     """
-    n = _check_dimension(n)
+    n = _check_int(n, "dimension", 1)
     if not (p >= 1):
         raise ValueError(f"exponent must satisfy p >= 1, got {p!r}")
     inv_p = 0.0 if math.isinf(p) else 1.0 / p
@@ -120,12 +111,18 @@ class BoundTable:
         return "\n".join(lines) + "\n"
 
 
+#: Largest number of rows one sweep builds.
+MAX_SWEEP_ROWS = 100_000
+
+
 def bound_sweep(n_start, n_end, p) -> BoundTable:
     """BoundTable rows for every dimension in [n_start, n_end]."""
-    n_start = _check_dimension(n_start)
-    n_end = _check_dimension(n_end)
+    n_start = _check_int(n_start, "dimension", 1)
+    n_end = _check_int(n_end, "dimension", 1)
     if n_end < n_start:
         raise ValueError(f"empty sweep range {n_start}..{n_end}")
+    if n_end - n_start + 1 > MAX_SWEEP_ROWS:
+        raise ValueError(f"sweep range {n_start}..{n_end} has more than {MAX_SWEEP_ROWS} rows")
     rows = tuple(
         BoundRow(n, float(p), schuette_bound(n, p), epsilon_threshold(n, p))
         for n in range(n_start, n_end + 1)

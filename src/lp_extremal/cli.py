@@ -102,12 +102,10 @@ def _write(path: str, payload: str) -> None:
         raise _InputError(f"cannot write {path}: {exc}") from None
 
 
-def _emit(args, result: dict, text: str, csv_body=None) -> None:
-    if args.csv:
-        if csv_body is None:
-            raise ValueError("CSV output is only available for 'bound --sweep'")
+def _emit(args, result: dict, text: str) -> None:
+    if getattr(args, "csv", False):
         compact = json.dumps(args.manifest, separators=(",", ":"))
-        payload = f"# manifest: {compact}\n{csv_body}"
+        payload = f"# manifest: {compact}\n{text}"
     elif args.json or args.out is not None:
         envelope = {"schema": SCHEMA_VERSION, "manifest": args.manifest, "result": result}
         payload = _format_json(envelope) + "\n"
@@ -161,17 +159,18 @@ def _cmd_bound(args):
     if args.sweep is not None:
         lo, hi = _parse_sweep(args.sweep)
         table = bound_sweep(lo, hi, p)
-        csv_body = table.to_csv()
-        return table.to_dict(), csv_body, csv_body
+        return table.to_dict(), table.to_csv()
     if args.n is None:
         raise ValueError("bound needs either --n or --sweep")
+    if args.csv:
+        raise ValueError("CSV output is only available for 'bound --sweep'")
     row = {
         "n": args.n,
         "p": float(p),
         "bound": schuette_bound(args.n, p),
         "epsilon": epsilon_threshold(args.n, p),
     }
-    return row, repr(row["bound"]), None
+    return row, repr(row["bound"])
 
 
 def _cmd_construct(args):
@@ -202,7 +201,7 @@ def _cmd_construct(args):
     )
     if diagnostics["achieved_ratio"] is not None:
         text += f", achieved {diagnostics['achieved_ratio']!r}"
-    return result, text, None
+    return result, text
 
 
 def _certificate(args, config):
@@ -220,7 +219,7 @@ def _cmd_certify(args):
         f"(sides {sorted(cert.side_a)} / {sorted(cert.side_b)}, "
         f"residual {cert.residual:.3e})"
     )
-    return result, text, None
+    return result, text
 
 
 def _cmd_audit(args):
@@ -236,7 +235,7 @@ def _cmd_audit(args):
     ]
     lines.append(f"square_slack = {audit.square_slack!r}")
     lines.append("all inequalities hold" if audit.all_hold() else "violations present")
-    return result, "\n".join(lines), None
+    return result, "\n".join(lines)
 
 
 def _cmd_search(args):
@@ -258,7 +257,7 @@ def _cmd_search(args):
         f"best ratio {res.best_ratio!r} after {res.evaluations} evaluations "
         f"({res.restarts} restarts); bound {res.bound!r}, gap {res.gap:.3e}"
     )
-    return result, text, None
+    return result, text
 
 
 def _cmd_check_equilateral(args):
@@ -293,7 +292,7 @@ def _cmd_check_equilateral(args):
                 result["note"] = note
                 text += "\n" + note
                 break
-    return result, text, None
+    return result, text
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -309,7 +308,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_common(sp, handler, tol=False):
         sp.add_argument("--json", action="store_true", help="emit a JSON envelope")
-        sp.add_argument("--csv", action="store_true", help="emit CSV (bound --sweep only)")
         if tol:
             sp.add_argument("--tol", type=float, default=None, help="override module tolerances")
         sp.add_argument("--out", default=None, help="write output to this file")
@@ -319,6 +317,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, default=None, help="dimension")
     sp.add_argument("--p", type=float, default=4.0, choices=[2.0, 4.0], help="exponent")
     sp.add_argument("--sweep", default=None, metavar="N1..N2", help="dimension range")
+    sp.add_argument("--csv", action="store_true", help="emit CSV (with --sweep only)")
     add_common(sp, _cmd_bound)
 
     sp = sub.add_parser("construct", help="build the explicit n+2 point configuration")
@@ -397,8 +396,8 @@ def main(argv=None) -> int:
     # the manifest travels with the parsed arguments to every writer
     args.manifest = _manifest(args, argv)
     try:
-        result, text, csv_body = args.handler(args)
-        _emit(args, result, text, csv_body)
+        result, text = args.handler(args)
+        _emit(args, result, text)
     except _InputError as exc:
         sys.stdout.write(_error_object(exc, 2))
         return 2

@@ -17,14 +17,13 @@ detected for diagnostics but never used.
 """
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from lp_extremal.errors import NumericalBreakdown
-from lp_extremal.lpgeom import Configuration
+from lp_extremal.lpgeom import Configuration, _check_int
 
 __all__ = [
     "f_eval",
@@ -41,23 +40,13 @@ BISECT_WIDTH = 1e-13
 NEWTON_STEPS = 3
 
 
-def _check_k(k) -> int:
-    try:
-        k = operator.index(k)
-    except TypeError:
-        raise ValueError(f"k must be an integer, got {k!r}") from None
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
-    return k
-
-
 def f_eval(t, k) -> float:
     """(((1+t)^4 + (k-1) t^4) / k)^(1/4); the scaled block norm profile.
 
     Equals k^{-1/4} ||(1,0,...,0) + t (1,...,1)||_4: strictly convex,
     strictly Lipschitz with constant below 1, minimum between -1/k and 0.
     """
-    k = _check_k(k)
+    k = _check_int(k, "k", 1)
     t = float(t)
     s = math.fsum([(1.0 + t) ** 4, (k - 1.0) * t ** 4])
     return (s / k) ** 0.25
@@ -130,7 +119,7 @@ def solve_alpha(k) -> float:
 
     Lies strictly below -k^{-1/4}; at k = 1 it is exactly -1 - 2^{1/4}.
     """
-    k = _check_k(k)
+    k = _check_int(k, "k", 1)
     alpha = _root_of_f_equals(k, -1.0 - 2.0 ** 0.25, -float(k) ** -0.25, "alpha")
     if not alpha < -float(k) ** -0.25:
         raise NumericalBreakdown(
@@ -146,7 +135,7 @@ def solve_beta(k) -> float:
     This is the gateway to the rejected y < 0 solution branch; exposed
     only as a diagnostic, the construction never uses it.
     """
-    k = _check_k(k)
+    k = _check_int(k, "k", 1)
     beta = _root_of_f_equals(k, 0.0, 1.0, "beta")
     if not 0.0 < beta < float(k) ** -0.25:
         raise NumericalBreakdown(
@@ -222,7 +211,7 @@ def solve_system(k) -> ConstructionSolution:
     quartic terms cancel), y_k = x_k - alpha_k.  Residuals of both
     original equations are checked against 1e-10.
     """
-    k = _check_k(k)
+    k = _check_int(k, "k", 1)
     alpha = solve_alpha(k)
 
     def poly(t):
@@ -296,12 +285,7 @@ def build_configuration(n) -> BuiltConfiguration:
     within-block distance is 2^{1/4}; the cross-block distance is
     smaller, so the ratio is 2^{1/4} / cross = 1 + sqrt(2/n) + O(n^{-3/4}).
     """
-    try:
-        n = operator.index(n)
-    except TypeError:
-        raise ValueError(f"n must be an integer, got {n!r}") from None
-    if n < 2:
-        raise ValueError(f"need dimension n >= 2, got {n}")
+    n = _check_int(n, "n", 2)
     k = n // 2
     sol_a = solve_system(k)
     sol_b = solve_system(k + 1) if n % 2 else sol_a

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -29,13 +30,53 @@ __all__ = [
 DEFAULT_TOL = 1e-9
 
 
-def _as_vector(v) -> np.ndarray:
+def _check_int(value, name: str, minimum: int) -> int:
+    """``value`` as a Python int of at least ``minimum``.
+
+    Accepts anything with ``__index__`` (int, numpy integers) and rejects
+    bools, floats and strings, so every integer argument obeys one rule.
+    """
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    return value
+
+
+def _check_tol(tol) -> float:
+    """``tol`` as a float, required finite and >= 0."""
+    try:
+        t = float(tol)
+    except (TypeError, ValueError):
+        t = math.nan
+    if not (math.isfinite(t) and t >= 0.0):
+        raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
+    return t
+
+
+def _as_points(points) -> np.ndarray:
+    """A float copy of ``points``: m >= 2 rows of n >= 1 finite coordinates."""
+    pts = np.array(points, dtype=float)
+    if pts.ndim != 2 or pts.shape[0] < 2 or pts.shape[1] < 1:
+        raise ValueError(f"points must be an (m, n) array, m >= 2, n >= 1; got shape {pts.shape}")
+    if not np.isfinite(pts).all():
+        raise ValueError("coordinates must be finite (no NaN/inf)")
+    return pts
+
+
+def _as_vector(v) -> list:
+    """The coordinates of a non-empty 1-D finite vector, as Python floats."""
     vec = np.asarray(v, dtype=float)
     if vec.ndim != 1 or vec.size == 0:
         raise ValueError(f"expected a non-empty 1-D coordinate vector, got shape {vec.shape}")
-    if not np.isfinite(vec).all():
+    vals = vec.tolist()
+    if not all(map(math.isfinite, vals)):
         raise ValueError("coordinates must be finite (no NaN/inf)")
-    return vec
+    return vals
 
 
 def _check_exponent(p) -> float:
@@ -50,7 +91,9 @@ def p_norm(v, p) -> float:
 
     The largest absolute coordinate is factored out before powering, so the
     result cannot overflow/underflow for representable inputs, and the
-    per-term powers are accumulated with compensated summation.
+    per-term powers are accumulated with compensated summation.  Short
+    vectors dominate the callers, so the work runs on Python floats; only
+    a general exponent goes through ``np.power``.
 
     Parameters
     ----------
@@ -64,21 +107,18 @@ def p_norm(v, p) -> float:
     float
         The norm; 0 exactly iff ``v`` is the zero vector.
     """
-    vec = _as_vector(v)
+    vals = _as_vector(v)
     pp = _check_exponent(p)
-    vmax = float(np.max(np.abs(vec)))
+    vmax = max(map(abs, vals))
     if vmax == 0.0:
         return 0.0
-    scaled = np.abs(vec) / vmax
+    scaled = [abs(t) / vmax for t in vals]
     if pp == 4.0:
-        sq = scaled * scaled
-        total = math.fsum((sq * sq).tolist())
-        return vmax * math.sqrt(math.sqrt(total))
+        return vmax * math.sqrt(math.sqrt(math.fsum([(t * t) * (t * t) for t in scaled])))
     if pp == 2.0:
-        total = math.fsum((scaled * scaled).tolist())
-        return vmax * math.sqrt(total)
+        return vmax * math.sqrt(math.fsum([t * t for t in scaled]))
     if pp == 1.0:
-        return vmax * math.fsum(scaled.tolist())
+        return vmax * math.fsum(scaled)
     total = math.fsum(np.power(scaled, pp).tolist())
     return vmax * total ** (1.0 / pp)
 
@@ -87,9 +127,9 @@ def distance(u, v, p) -> float:
     """l_p distance between two points of equal dimension."""
     uu = _as_vector(u)
     vv = _as_vector(v)
-    if uu.shape != vv.shape:
-        raise ValueError(f"dimension mismatch: {uu.shape[0]} vs {vv.shape[0]}")
-    return p_norm(uu - vv, p)
+    if len(uu) != len(vv):
+        raise ValueError(f"dimension mismatch: {len(uu)} vs {len(vv)}")
+    return p_norm(np.subtract(uu, vv), p)
 
 
 @dataclass(frozen=True)
@@ -104,16 +144,7 @@ class Configuration:
     p: float
 
     def __post_init__(self):
-        pts = np.array(self.points, dtype=float, copy=True)
-        if pts.ndim != 2:
-            raise ValueError(f"points must be a 2-D (m, n) array, got shape {pts.shape}")
-        m, n = pts.shape
-        if m < 2:
-            raise ValueError(f"need at least 2 points, got {m}")
-        if n < 1:
-            raise ValueError("points must have dimension >= 1")
-        if not np.isfinite(pts).all():
-            raise ValueError("coordinates must be finite (no NaN/inf)")
+        pts = _as_points(self.points)
         pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "p", _check_exponent(self.p))
@@ -249,16 +280,15 @@ def _power_of_two_scaled(pts: np.ndarray) -> tuple[np.ndarray, int]:
 
 
 def _pair_power_scan(pts: np.ndarray, p: float):
-    """:func:`_pair_sums` on the points scaled by :func:`_power_of_two_scaled`,
-    plus the first duplicate pair.
+    """:func:`_pair_sums` on the points scaled by :func:`_power_of_two_scaled`.
 
     The coordinate scale alone then cannot make the powers underflow or
     overflow, and selections agree with the unscaled sums.  Returns ``(sums,
-    duplicate_pair, x, k)``: the sums are in units of 2^(p*k) (distances in
-    units of 2^k for p other than 2 and 4), ``duplicate_pair`` is the
-    row-major first pair of exactly equal points, or None, and ``x`` holds
-    the scaled points.  Only pairs whose value is exactly 0 are compared, so
-    a distinct pair whose power sum underflowed is not a duplicate.
+    x, k)``: the sums are in units of 2^(p*k) (distances in units of 2^k for
+    p other than 2 and 4) and ``x`` holds the scaled points.  Raises
+    ValueError naming the row-major first pair of exactly equal points.
+    Only pairs whose value is exactly 0 are compared, so a distinct pair
+    whose power sum underflowed is not a duplicate.
     """
     x, k = _power_of_two_scaled(pts)
     sums = _pair_sums(x, p)
@@ -266,26 +296,22 @@ def _pair_power_scan(pts: np.ndarray, p: float):
     for t in np.flatnonzero(sums == 0.0):
         i, j = _pair_at(int(t), m)
         if np.array_equal(pts[i], pts[j]):
-            return sums, (i, j), x, k
-    return sums, None, x, k
+            raise ValueError(f"duplicate points at indices {(i, j)}")
+    return sums, x, k
 
 
-def _underflowed(sums: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Row-major positions of the pair sums that may have lost digits to underflow.
+def _underflowed(sums: np.ndarray, x: np.ndarray, p: float):
+    """Row-major positions of the pair sums that may have lost digits to
+    underflow, and the :func:`p_norm` distances of those pairs of rows of ``x``.
 
     Each of the n terms of a sum loses at most one subnormal unit, so a sum
     at or above n times the smallest normal float is accurate to about one
     rounding.  Below that (scaled points about 1e-77 apart for p = 4, 1e-154
     for p = 2) the sums no longer order the distances.
     """
-    return np.flatnonzero(sums < x.shape[1] * sys.float_info.min)
-
-
-def _repriced(x: np.ndarray, positions: np.ndarray, p: float) -> np.ndarray:
-    """:func:`p_norm` distances of the pairs at row-major ``positions`` of the rows ``x``."""
-    m = x.shape[0]
-    pairs = (_pair_at(int(t), m) for t in positions)
-    return np.array([p_norm(x[j] - x[i], p) for i, j in pairs])
+    low = np.flatnonzero(sums < x.shape[1] * sys.float_info.min)
+    pairs = (_pair_at(int(t), x.shape[0]) for t in low)
+    return low, np.array([p_norm(x[j] - x[i], p) for i, j in pairs])
 
 
 def ratio_report(config: Configuration) -> RatioReport:
@@ -304,15 +330,12 @@ def ratio_report(config: Configuration) -> RatioReport:
         maximizing and a minimizing pair (first encountered on ties).
     """
     m = config.size
-    sums, dup, x, k = _pair_power_scan(config.points, config.p)
-    if dup is not None:
-        raise ValueError(f"duplicate points at indices {dup}: distance ratio is undefined")
+    sums, x, k = _pair_power_scan(config.points, config.p)
     tmax = int(np.argmax(sums))
     tmin = int(np.argmin(sums))
-    low = _underflowed(sums, x)
+    low, dists = _underflowed(sums, x, config.p)
     if low.size:
         # the extremes among underflowed sums are chosen by their p_norm distances
-        dists = _repriced(x, low, config.p)
         tmin = int(low[np.argmin(dists)])
         if low.size == sums.size:
             tmax = int(low[np.argmax(dists)])
@@ -339,11 +362,8 @@ def is_equilateral(config: Configuration, tol: float = DEFAULT_TOL) -> tuple[boo
     the pairwise distances, and ``lam`` is the mean pairwise distance when the
     flag is true (None otherwise).
     """
-    if tol < 0:
-        raise ValueError("tol must be >= 0")
-    sums, dup, x, k = _pair_power_scan(config.points, config.p)
-    if dup is not None:
-        raise ValueError(f"duplicate points at indices {dup}: equilateral test is undefined")
+    tol = _check_tol(tol)
+    sums, x, k = _pair_power_scan(config.points, config.p)
     # distances in units of 2^k: the verdict is scale-free, only lam is mapped back
     if config.p == 4.0:
         dists = np.sqrt(np.sqrt(sums))
@@ -351,9 +371,9 @@ def is_equilateral(config: Configuration, tol: float = DEFAULT_TOL) -> tuple[boo
         dists = np.sqrt(sums)
     else:
         dists = sums
-    low = _underflowed(sums, x)
+    low, repriced = _underflowed(sums, x, config.p)
     if low.size:
-        dists[low] = _repriced(x, low, config.p)
+        dists[low] = repriced
     dmax = float(np.max(dists))
     dmin = float(np.min(dists))
     if dmax - dmin <= tol * dmax:

@@ -15,7 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from lp_extremal.errors import NumericalBreakdown
-from lp_extremal.lpgeom import Configuration, _pair_power_scan, _power_of_two_scaled
+from lp_extremal.lpgeom import (
+    Configuration, _as_points, _check_tol, _pair_power_scan, _power_of_two_scaled
+)
 
 __all__ = [
     "RadonCertificate",
@@ -30,40 +32,26 @@ WEIGHT_RESIDUAL_TOL = 1e-10
 CHAIN_TOL = 1e-9
 
 
-def _as_point_matrix(points) -> np.ndarray:
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2:
-        raise ValueError(f"expected a 2-D array of points, got shape {pts.shape}")
-    m, n = pts.shape
-    if n < 1:
-        raise ValueError("points must have dimension >= 1")
-    if m != n + 2:
-        raise ValueError(f"need exactly n+2 = {n + 2} points in R^{n}, got {m}")
-    if not np.all(np.isfinite(pts)):
-        raise ValueError("points contain non-finite coordinates")
-    return pts
-
-
-def _null_vector(pts: np.ndarray):
+def _null_vector(x: np.ndarray, k: int):
     """Nonzero lambda with sum(lambda) = 0 and sum(lambda_i x_i) = 0.
 
     The dependence is affine-invariant, so the (n+1) x (n+2) homogeneous
-    system is built on coordinates scaled by 2^-k, where 2^k is the
-    power of two just above max|x| (exact, and applied before centering
-    so nothing overflows), and then centered on their mean.  Pivots count
-    as zero below 1e-13 times the largest centered coordinate, so a set
-    whose spread is tiny next to its distance from the origin keeps its
-    rank.  Forward elimination with partial pivoting updates only the
-    trailing block; back substitution sets the last non-pivot column to 1
-    and any other free columns to 0.  Plain numpy, no LAPACK or BLAS-3
-    call, so the result does not depend on the BLAS thread count.
+    system is built on coordinates ``x`` already scaled by 2^-k, where 2^k
+    is the power of two just above max|x| (exact, and applied before
+    centering so nothing overflows), and then centered on their mean.
+    Pivots count as zero below 1e-13 times the largest centered
+    coordinate, so a set whose spread is tiny next to its distance from
+    the origin keeps its rank.  Forward elimination with partial pivoting
+    updates only the trailing block; back substitution sets the last
+    non-pivot column to 1 and any other free columns to 0.  Plain numpy,
+    no LAPACK or BLAS-3 call, so the result does not depend on the BLAS
+    thread count.
 
     Returns (lambda, condition): condition holds the rank, the smallest
     accepted pivot and the scale exponent k.
     """
-    m, n = pts.shape
-    x, k = _power_of_two_scaled(pts)
-    x -= x.mean(axis=0)
+    m, n = x.shape
+    x = x - x.mean(axis=0)
     a = np.empty((n + 1, m))
     a[0] = 1.0
     a[1:] = x.T
@@ -193,9 +181,17 @@ def radon_partition(points, tol: float = WEIGHT_RESIDUAL_TOL) -> RadonCertificat
     coefficients join side_b with weight 0.  The normalized weights
     place the common point in both convex hulls; `tol` bounds the
     allowed weighted-sum residual relative to the coordinate scale.
+    The weighted sums, the common point and the residual are formed on
+    the points scaled by 2^-k and mapped back by 2^k, which is exact in
+    the normal range, so coordinates near the float limit work too.
     """
-    pts = _as_point_matrix(points)
-    lam, condition = _null_vector(pts)
+    pts = _as_points(points)
+    m, n = pts.shape
+    if m != n + 2:
+        raise ValueError(f"need exactly n+2 = {n + 2} points in R^{n}, got {m}")
+    tol = _check_tol(tol)
+    x, k = _power_of_two_scaled(pts)
+    lam, condition = _null_vector(x, k)
     pos = lam > 0
     neg = lam < 0
     pos_sum = float(lam[pos].sum())
@@ -214,12 +210,13 @@ def radon_partition(points, tol: float = WEIGHT_RESIDUAL_TOL) -> RadonCertificat
     side_b = tuple(int(i) for i in np.flatnonzero(~pos))
     alphas = lam[pos] / pos_sum
     betas = np.abs(lam[~pos]) / neg_sum  # zero entries stay exactly +0
-    sum_a = alphas @ pts[list(side_a)]
-    sum_b = betas @ pts[list(side_b)]
+    sum_a = alphas @ x[list(side_a)]
+    sum_b = betas @ x[list(side_b)]
     common = 0.5 * (sum_a + sum_b)
-    residual = float(
-        max(np.max(np.abs(sum_a - common)), np.max(np.abs(sum_b - common)))
+    residual = math.ldexp(
+        float(max(np.max(np.abs(sum_a - common)), np.max(np.abs(sum_b - common)))), k
     )
+    common = np.ldexp(common, k)
     scale = float(np.max(np.abs(pts)))
     if residual > tol * max(1.0, scale):
         raise NumericalBreakdown(
@@ -369,10 +366,9 @@ def audit_chain(
         raise ValueError(f"need exactly n+2 = {n + 2} points, got {m}")
     if sorted(cert.side_a + cert.side_b) != list(range(m)):
         raise ValueError("certificate sides do not cover the configuration's indices")
+    tol = _check_tol(tol)
 
-    sums, dup, x, k = _pair_power_scan(config.points, 4.0)
-    if dup is not None:
-        raise ValueError(f"duplicate points at indices {dup}; ratio undefined")
+    sums, x, k = _pair_power_scan(config.points, 4.0)
     m4 = float(np.max(sums))
     mu4 = float(np.min(sums))
     # distinct points: a zero here is a fourth-power distance that underflowed

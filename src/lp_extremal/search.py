@@ -19,7 +19,9 @@ import numpy as np
 from lp_extremal.bounds import schuette_bound
 from lp_extremal.construct import build_configuration
 from lp_extremal.errors import NumericalBreakdown
-from lp_extremal.lpgeom import Configuration, _pair_sums, _power_of_two_scaled, ratio_report
+from lp_extremal.lpgeom import (
+    Configuration, _check_int, _pair_sums, _power_of_two_scaled, ratio_report
+)
 
 __all__ = ["SearchResult", "minimize_ratio"]
 
@@ -149,14 +151,9 @@ def minimize_ratio(n, budget, seeds="auto", rng_seed=0) -> SearchResult:
     restart owns a child generator spawned from rng_seed, the restarts
     run in index order, and they combine by (ratio, restart index).
     """
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise ValueError(f"n must be an integer, got {n!r}")
-    if n < 2:
-        raise ValueError(f"need dimension n >= 2, got {n}")
-    budget = int(budget)
-    if budget < 1:
-        raise ValueError(f"budget must be >= 1, got {budget}")
-    rng_seed = int(rng_seed)
+    n = _check_int(n, "n", 2)
+    budget = _check_int(budget, "budget", 1)
+    rng_seed = _check_int(rng_seed, "rng_seed", 0)
 
     ss = np.random.SeedSequence(rng_seed)
     if isinstance(seeds, str):

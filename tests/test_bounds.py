@@ -168,6 +168,12 @@ class TestBoundSweep:
         with pytest.raises(ValueError):
             bound_sweep(5, 4, 4)
 
+    def test_oversized_range_rejected(self):
+        with pytest.raises(ValueError, match="100000 rows"):
+            bound_sweep(1, 100_001, 4)
+        with pytest.raises(ValueError, match="100000 rows"):
+            bound_sweep(2, 10 ** 400, 4)
+
     def test_dict_shape(self):
         d = bound_sweep(2, 3, 4).to_dict()
         assert d["rows"][0] == {
@@ -176,3 +182,23 @@ class TestBoundSweep:
             "bound": schuette_bound(2, 4),
             "epsilon": epsilon_threshold(2, 4),
         }
+
+
+class TestIntegerArguments:
+    @pytest.mark.parametrize("call", [
+        lambda n: schuette_bound(n, 4),
+        lambda n: epsilon_threshold(n, 4),
+        lambda n: norm_equivalence_factor(n, 3.0),
+        lambda n: bound_sweep(n, 3, 4),
+        lambda n: bound_sweep(1, n, 4),
+    ])
+    def test_bool_is_not_a_dimension(self, call):
+        with pytest.raises(ValueError, match="dimension must be an integer, got True"):
+            call(True)
+
+    def test_numpy_integers_are_dimensions(self):
+        for n in (np.int64(3), np.int32(4), np.uint8(5)):
+            assert schuette_bound(n, 4) == schuette_bound(int(n), 4)
+            assert epsilon_threshold(n, 2) == epsilon_threshold(int(n), 2)
+            assert norm_equivalence_factor(n, 3.0) == norm_equivalence_factor(int(n), 3.0)
+            assert bound_sweep(2, n, 4) == bound_sweep(2, int(n), 4)

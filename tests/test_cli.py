@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 import lp_extremal
 from lp_extremal import (
     Configuration,
+    NumericalBreakdown,
     build_configuration,
     ratio_report,
     schuette_bound,
@@ -43,6 +44,8 @@ def write_config(path, points, p=4.0):
 UNIT_SQUARE = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
 # a JSON integer that no float can hold
 HUGE = 10 ** 400
+# the src directory of the lp_extremal under test, for subprocesses
+SRC = Path(lp_extremal.__file__).resolve().parents[1]
 
 
 class TestBound:
@@ -314,11 +317,35 @@ class TestErrors:
         assert code == 1
         assert body["error"]["type"] == "ValueError"
 
-    def test_csv_outside_sweep_is_a_named_precondition(self, capsys, tmp_path):
+    def test_csv_outside_bound_is_a_usage_error(self, capsys, tmp_path):
         cfg = write_config(tmp_path / "sq.json", UNIT_SQUARE)
-        code, body = run_json(capsys, "certify", cfg, "--csv")
+        for argv in (["construct", "--n", "3"], ["certify", cfg], ["audit", cfg],
+                     ["check-equilateral", cfg], ["search", "--n", "2", "--budget", "5"]):
+            with pytest.raises(SystemExit) as exc_info:
+                main(argv + ["--csv"])
+            assert exc_info.value.code == 2, argv
+            captured = capsys.readouterr()
+            assert captured.out == "" and "--csv" in captured.err
+
+    @pytest.mark.parametrize("command", ["certify", "audit", "check-equilateral"])
+    @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+    def test_invalid_tol_is_a_named_error(self, capsys, tmp_path, command, tol):
+        cfg = write_config(tmp_path / "sq.json", UNIT_SQUARE)
+        code, body = run_json(capsys, command, cfg, "--tol", tol)
         assert code == 1
-        assert "CSV" in body["error"]["message"]
+        assert body["error"]["type"] == "ValueError"
+        assert body["error"]["message"].startswith("tol must be")
+
+    def test_oversized_sweep_is_refused_at_once(self):
+        # a separate process, so a sweep that ignores its limit cannot hang the suite
+        proc = subprocess.run(
+            [sys.executable, "-m", "lp_extremal", "bound", "--sweep", "2..100000000000"],
+            capture_output=True, text=True, timeout=30,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(
+                filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))},
+        )
+        assert proc.returncode == 1 and proc.stderr == ""
+        assert "100000 rows" in json.loads(proc.stdout)["error"]["message"]
 
     @pytest.mark.parametrize("scale", [1e-300, 1e-100, 1e-60, 1e100, 1e300])
     def test_extreme_scales_end_in_a_result_or_a_named_error(self, capsys, tmp_path, scale):
@@ -362,8 +389,14 @@ class TestErrors:
         assert "too large" in error["message"]
         assert captured.err == ""
 
-    def test_non_finite_diagnostics_are_written_as_text(self, capsys, tmp_path):
-        cfg = write_config(tmp_path / "far.json", [[0.0], [1e308], [1e308]])
+    def test_non_finite_diagnostics_are_written_as_text(self, capsys, tmp_path, monkeypatch):
+        # no input is known to give radon_partition's power-of-two scaled sums
+        # an infinite residual, so the breakdown is planted
+        def breakdown(points, tol):
+            raise NumericalBreakdown("planted", diagnostics={"residual": math.inf})
+
+        monkeypatch.setattr(lp_extremal.cli, "radon_partition", breakdown)
+        cfg = write_config(tmp_path / "sq.json", UNIT_SQUARE)
         code, body = run_json(capsys, "certify", cfg)
         assert code == 1
         assert body["error"]["type"] == "NumericalBreakdown"

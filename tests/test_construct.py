@@ -254,3 +254,15 @@ class TestBuildConfiguration:
             build_configuration(1)
         with pytest.raises(ValueError):
             build_configuration(2.5)
+
+    def test_bool_is_not_an_integer(self):
+        for call in (build_configuration, solve_system, solve_alpha, solve_beta,
+                     lambda k: f_eval(0.0, k)):
+            with pytest.raises(ValueError, match="must be an integer, got True"):
+                call(True)
+
+    def test_numpy_integers_are_accepted(self):
+        built = build_configuration(np.int64(5))
+        assert built.n == 5 and type(built.n) is int
+        assert np.array_equal(built.config.points, build_configuration(5).config.points)
+        assert solve_system(np.int32(3)) == solve_system(3)

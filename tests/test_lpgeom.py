@@ -304,8 +304,8 @@ class TestPairKernel:
     def test_sums_match_the_row_scan_bit_for_bit(self, p, n):
         for pts in kernel_inputs(n).values():
             ref, k = reference_row_scan(pts, p)
-            sums, dup, x, k_scan = lpgeom._pair_power_scan(pts, p)
-            assert dup is None and k_scan == k
+            sums, x, k_scan = lpgeom._pair_power_scan(pts, p)
+            assert k_scan == k
             assert np.array_equal(x, np.ldexp(pts, -k))
             assert np.array_equal(sums, ref)
 
@@ -360,8 +360,8 @@ class TestPairKernel:
 
     def test_underflowed_sum_is_not_a_duplicate(self):
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [1e-100, 0.0]])
-        sums, dup, _, _ = lpgeom._pair_power_scan(pts, 4.0)
-        assert sums[1] == 0.0 and dup is None
+        sums, _, _ = lpgeom._pair_power_scan(pts, 4.0)
+        assert sums[1] == 0.0
         rep = ratio_report(Configuration(pts, 4.0))
         assert rep.argmin_pair == (0, 2)
         assert rep.min_dist == 1e-100
@@ -408,6 +408,6 @@ class TestPairKernel:
     def test_general_p_values_are_distances(self):
         pts = kernel_inputs(5)["random"]
         for p in (1.0, 3.0, 7.5):
-            vals, _, _, k = lpgeom._pair_power_scan(pts, p)
+            vals, _, k = lpgeom._pair_power_scan(pts, p)
             ref = brute_force_pairs(pts, p)
             assert np.allclose(np.ldexp(vals, k), list(ref.values()), rtol=1e-12, atol=0)

@@ -97,6 +97,24 @@ class TestRadonPartition:
         cert = radon_partition(UNIT_SQUARE * scale + offset)
         assert cert.certificate == 2.0
 
+    def test_square_near_the_top_of_the_float_range(self):
+        # the unscaled weighted sums of these points overflow
+        pts = [[1.5e308, 0.0], [1.6e308, 0.0], [1.6e308, 1e307], [1.5e308, 1e307]]
+        cert = radon_partition(pts)
+        assert cert.certificate == 2.0
+        np.testing.assert_allclose(cert.common_point, [1.55e308, 5e306], rtol=1e-15)
+        assert cert.residual <= 1e-10 * 1.6e308
+
+    @pytest.mark.parametrize("tol", [-1.0, math.nan, math.inf, -math.inf, None, "x"])
+    def test_invalid_tolerance_is_rejected_everywhere(self, tol):
+        config = Configuration(UNIT_SQUARE, 4.0)
+        cert = radon_partition(UNIT_SQUARE)
+        for call in (lambda: radon_partition(UNIT_SQUARE, tol=tol),
+                     lambda: audit_chain(config, cert, tol=tol),
+                     lambda: is_equilateral(config, tol)):
+            with pytest.raises(ValueError, match="tol must be a finite number >= 0"):
+                call()
+
 
 class TestCertificateBound:
     def test_recomputes_from_weights(self):

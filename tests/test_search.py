@@ -150,3 +150,16 @@ class TestSeeds:
             minimize_ratio(1, 10, "auto", 0)
         with pytest.raises(ValueError):
             minimize_ratio(2, 0, "auto", 0)
+
+    def test_integer_arguments_follow_one_rule(self):
+        base = minimize_ratio(3, 50, "auto", 0)
+        res = minimize_ratio(np.int64(3), np.int64(50), "auto", 0)
+        assert res.best_ratio == base.best_ratio and res.evaluations == 50
+        assert np.array_equal(res.best_config.points, base.best_config.points)
+        assert minimize_ratio(3, 50, "auto", np.int64(0)).best_ratio == base.best_ratio
+        for n, budget, seed in ((True, 50, 0), (3, True, 0), (3, 50.0, 0), ("3", 50, 0),
+                                (3, 50, True), (3, 50, 2.7)):
+            with pytest.raises(ValueError, match="must be an integer"):
+                minimize_ratio(n, budget, "auto", seed)
+        with pytest.raises(ValueError, match="rng_seed must be >= 0"):
+            minimize_ratio(3, 50, "auto", -1)

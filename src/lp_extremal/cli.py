@@ -139,7 +139,7 @@ def _load_configuration(path: str, p_override=None) -> Configuration:
         raise _InputError(f"{path}: configuration JSON needs 'p' and 'points' fields")
     p = p_override if p_override is not None else data["p"]
     try:
-        return Configuration(np.asarray(data["points"], dtype=float), float(p))
+        return Configuration(np.asarray(data["points"], dtype=float), p)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{path}: {exc}") from None
 

@@ -80,8 +80,13 @@ def _as_vector(v) -> list:
 
 
 def _check_exponent(p) -> float:
-    pp = float(p)
-    if not math.isfinite(pp) or pp < 1.0:
+    """``p`` as a float, required finite and >= 1; bools are rejected as in
+    :func:`_check_int`."""
+    try:
+        pp = float(p)
+    except (TypeError, ValueError):
+        pp = math.nan
+    if not (math.isfinite(pp) and pp >= 1.0) or isinstance(p, (bool, np.bool_)):
         raise ValueError(f"norm exponent must be a finite real >= 1, got {p!r}")
     return pp
 
@@ -117,8 +122,6 @@ def p_norm(v, p) -> float:
         return vmax * math.sqrt(math.sqrt(math.fsum([(t * t) * (t * t) for t in scaled])))
     if pp == 2.0:
         return vmax * math.sqrt(math.fsum([t * t for t in scaled]))
-    if pp == 1.0:
-        return vmax * math.fsum(scaled)
     total = math.fsum(np.power(scaled, pp).tolist())
     return vmax * total ** (1.0 / pp)
 

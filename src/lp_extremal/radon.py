@@ -32,7 +32,7 @@ WEIGHT_RESIDUAL_TOL = 1e-10
 CHAIN_TOL = 1e-9
 
 
-def _null_vector(x: np.ndarray, k: int):
+def _null_vector(x: np.ndarray):
     """Nonzero lambda with sum(lambda) = 0 and sum(lambda_i x_i) = 0.
 
     The dependence is affine-invariant, so the (n+1) x (n+2) homogeneous
@@ -47,8 +47,8 @@ def _null_vector(x: np.ndarray, k: int):
     no LAPACK or BLAS-3 call, so the result does not depend on the BLAS
     thread count.
 
-    Returns (lambda, condition): condition holds the rank, the smallest
-    accepted pivot and the scale exponent k.
+    Returns (lambda, condition): condition holds the rank and the smallest
+    accepted pivot.
     """
     m, n = x.shape
     x = x - x.mean(axis=0)
@@ -81,15 +81,22 @@ def _null_vector(x: np.ndarray, k: int):
     condition = {
         "rank": len(pivot_cols),
         "min_pivot": float(np.min(np.abs(a[range(len(pivot_cols)), pivot_cols]))),
-        "scale_exponent": k,
     }
     return lam, condition
 
 
-def _certificate_value(alphas, betas) -> float:
-    sum_sq = math.fsum((float(w) ** 2 for w in alphas)) + math.fsum(
-        (float(w) ** 2 for w in betas)
-    )
+def _square_sum(weights: np.ndarray) -> float:
+    """Compensated sum of the squared weights.
+
+    ``** 2`` goes through the C library's pow, whose last bit differs from
+    the correctly rounded ``w * w`` in about one square in a thousand; it is
+    kept so that certificates keep their bits.
+    """
+    return math.fsum([w ** 2 for w in weights.tolist()])
+
+
+def _certificate_value(sum_sq: float) -> float:
+    """2 / (2 - sum_sq), where sum_sq sums the squares of both sides' weights."""
     denom = 2.0 - sum_sq
     if denom <= 0.0:
         raise NumericalBreakdown(
@@ -183,7 +190,9 @@ def radon_partition(points, tol: float = WEIGHT_RESIDUAL_TOL) -> RadonCertificat
     allowed weighted-sum residual relative to the coordinate scale.
     The weighted sums, the common point and the residual are formed on
     the points scaled by 2^-k and mapped back by 2^k, which is exact in
-    the normal range, so coordinates near the float limit work too.
+    the normal range, so coordinates near the float limit work too.  The
+    residual is compared with ``tol`` times the largest coordinate in that
+    frame, so the verdict does not change when the points are scaled.
     """
     pts = _as_points(points)
     m, n = pts.shape
@@ -191,7 +200,8 @@ def radon_partition(points, tol: float = WEIGHT_RESIDUAL_TOL) -> RadonCertificat
         raise ValueError(f"need exactly n+2 = {n + 2} points in R^{n}, got {m}")
     tol = _check_tol(tol)
     x, k = _power_of_two_scaled(pts)
-    lam, condition = _null_vector(x, k)
+    lam, condition = _null_vector(x)
+    condition["scale_exponent"] = k
     pos = lam > 0
     neg = lam < 0
     pos_sum = float(lam[pos].sum())
@@ -213,24 +223,22 @@ def radon_partition(points, tol: float = WEIGHT_RESIDUAL_TOL) -> RadonCertificat
     sum_a = alphas @ x[list(side_a)]
     sum_b = betas @ x[list(side_b)]
     common = 0.5 * (sum_a + sum_b)
-    residual = math.ldexp(
-        float(max(np.max(np.abs(sum_a - common)), np.max(np.abs(sum_b - common)))), k
-    )
-    common = np.ldexp(common, k)
-    scale = float(np.max(np.abs(pts)))
-    if residual > tol * max(1.0, scale):
+    res = float(max(np.max(np.abs(sum_a - common)), np.max(np.abs(sum_b - common))))
+    scale = float(np.max(np.abs(x)))
+    residual = math.ldexp(res, k)
+    if res > tol * scale:
         raise NumericalBreakdown(
             "weighted sums of the two sides disagree beyond tolerance",
             diagnostics={
                 "residual": residual,
-                "scale": scale,
+                "scale": math.ldexp(scale, k),
                 "tol": tol,
                 "lambda": lam.tolist(),
                 **condition,
             },
         )
     try:
-        certificate = _certificate_value(alphas, betas)
+        certificate = _certificate_value(_square_sum(alphas) + _square_sum(betas))
     except NumericalBreakdown as exc:
         exc.diagnostics.update(condition)
         raise
@@ -239,7 +247,7 @@ def radon_partition(points, tol: float = WEIGHT_RESIDUAL_TOL) -> RadonCertificat
         side_b=side_b,
         alphas=alphas,
         betas=betas,
-        common_point=common,
+        common_point=np.ldexp(common, k),
         certificate=certificate,
         residual=residual,
     )
@@ -251,7 +259,7 @@ def certificate_bound(cert: RadonCertificate) -> float:
     Recomputed from the weights rather than read off the stored field,
     so a hand-edited certificate is re-checked.
     """
-    return _certificate_value(cert.alphas, cert.betas)
+    return _certificate_value(_square_sum(cert.alphas) + _square_sum(cert.betas))
 
 
 @dataclass(frozen=True)
@@ -324,38 +332,22 @@ def _weighted_moments(weights: np.ndarray, block: np.ndarray):
     return second, fourth
 
 
-def _unscaled(name: str, value: float, k: int, positive: bool = False) -> float:
-    """A fourth-power quantity computed on points scaled by 2^-k, times 2^(4k).
-
-    Raises NumericalBreakdown when the result leaves the normal
-    floating-point range: it overflows, or a nonzero value underflows.
-    With ``positive`` a zero value counts as underflowed too.
-    """
-    try:
-        out = math.ldexp(value, 4 * k)
-    except OverflowError:
-        out = math.inf
-    if math.isinf(out) or ((value != 0.0 or positive) and abs(out) < sys.float_info.min):
-        raise NumericalBreakdown(
-            f"{name} leaves the floating-point range at this coordinate scale",
-            diagnostics={"quantity": name, "scaled_value": value, "scale_exponent": k},
-        )
-    return out
-
-
 def audit_chain(
     config: Configuration, cert: RadonCertificate, tol: float = CHAIN_TOL
 ) -> ChainAudit:
     """Re-derive the certificate on config's points, checking each step.
 
-    All moment arithmetic runs on points scaled by the power of two 2^-k
-    from the pair scan and translated so the common point sits at the
-    origin; M^4 and mu^4 come from fourth-power sums, never from rooted
-    distances.  Reported values are mapped back by 2^(4k), which is exact
-    in the normal range; a value that would leave the floating-point range
-    raises NumericalBreakdown carrying k.  The fourth-power inequalities
-    are tested to ``tol`` relative to M^4, so the verdict is scale-free.
-    A violated inequality also raises NumericalBreakdown: the chain is a
+    The audit reads only the certificate's sides and weights.  All moment
+    arithmetic runs on points scaled by the power of two 2^-k from the pair
+    scan and translated to the first point; the within-side moments are
+    taken about the common point 0.5 (sum alpha a + sum beta b) formed in
+    that frame, so a set far from the origin loses no digits to its offset.
+    M^4 and mu^4 come from fourth-power sums, never from rooted distances.
+    Reported values are mapped back by 2^(4k), which is exact in the normal
+    range; a value that would leave the floating-point range raises
+    NumericalBreakdown carrying k.  The fourth-power inequalities are
+    tested to ``tol`` relative to M^4, so the verdict is scale-free.  A
+    violated inequality also raises NumericalBreakdown: the chain is a
     theorem, so a violation means degenerate numerics or an implementation
     bug, not a counterexample.
     """
@@ -369,51 +361,54 @@ def audit_chain(
     tol = _check_tol(tol)
 
     sums, x, k = _pair_power_scan(config.points, 4.0)
-    m4 = float(np.max(sums))
-    mu4 = float(np.min(sums))
-    # distinct points: a zero here is a fourth-power distance that underflowed
-    m4_raw = _unscaled("M^4", m4, k, positive=True)
-    _unscaled("mu^4", mu4, k, positive=True)
-
-    shifted = x - np.ldexp(cert.common_point, -k)
-    a_second, a_fourth = _weighted_moments(cert.alphas, shifted[list(cert.side_a)])
-    b_second, b_fourth = _weighted_moments(cert.betas, shifted[list(cert.side_b)])
-    sum_sq_a = math.fsum((cert.alphas ** 2).tolist())
-    sum_sq_b = math.fsum((cert.betas ** 2).tolist())
-
-    within_a = InequalityRecord(
-        "within_a",
-        _unscaled("within_a lhs", (1.0 - sum_sq_a) * m4, k),
-        _unscaled(
-            "within_a rhs", 2.0 * a_fourth + 6.0 * math.fsum((a_second * a_second).tolist()), k
-        ),
-        m4_raw,
-    )
-    within_b = InequalityRecord(
-        "within_b",
-        _unscaled("within_b lhs", (1.0 - sum_sq_b) * m4, k),
-        _unscaled(
-            "within_b rhs", 2.0 * b_fourth + 6.0 * math.fsum((b_second * b_second).tolist()), k
-        ),
-        m4_raw,
-    )
-    cross = InequalityRecord(
-        "cross",
-        _unscaled("cross lhs", a_fourth + b_fourth, k),
-        _unscaled("cross rhs", mu4 - 6.0 * math.fsum((a_second * b_second).tolist()), k),
-        m4_raw,
-    )
-    denom = 2.0 - sum_sq_a - sum_sq_b
-    if denom <= 0.0:
-        raise NumericalBreakdown(
-            "weight squares sum to >= 2 in audit",
-            diagnostics={"sum_sq": sum_sq_a + sum_sq_b},
-        )
-    ratio = InequalityRecord("ratio", m4 / mu4, 2.0 / denom)
+    m4 = float(sums.max())
+    mu4 = float(sums.min())
+    # exact (Sterbenz) wherever the offset dominates the spread
+    x = x - x[0]
+    a = x[list(cert.side_a)]
+    b = x[list(cert.side_b)]
+    centre = 0.5 * (cert.alphas @ a + cert.betas @ b)
+    a_second, a_fourth = _weighted_moments(cert.alphas, a - centre)
+    b_second, b_fourth = _weighted_moments(cert.betas, b - centre)
+    sum_sq_a = _square_sum(cert.alphas)
+    sum_sq_b = _square_sum(cert.betas)
     diff = a_second - b_second
-    slack = _unscaled("square_slack", 6.0 * math.fsum((diff * diff).tolist()), k)
 
-    audit = ChainAudit(within_a, within_b, cross, ratio, slack, tol)
+    # fourth-power quantities in units of 2^(4k), in the order they are checked
+    scaled = {
+        "M^4": m4,
+        "mu^4": mu4,
+        "within_a lhs": (1.0 - sum_sq_a) * m4,
+        "within_a rhs": 2.0 * a_fourth + 6.0 * math.fsum((a_second * a_second).tolist()),
+        "within_b lhs": (1.0 - sum_sq_b) * m4,
+        "within_b rhs": 2.0 * b_fourth + 6.0 * math.fsum((b_second * b_second).tolist()),
+        "cross lhs": a_fourth + b_fourth,
+        "cross rhs": mu4 - 6.0 * math.fsum((a_second * b_second).tolist()),
+        "square_slack": 6.0 * math.fsum((diff * diff).tolist()),
+    }
+    raw = {}
+    for name, value in scaled.items():
+        try:
+            out = math.ldexp(value, 4 * k)
+        except OverflowError:
+            out = math.inf
+        # the pair scan rejected duplicates, so a zero M^4 or mu^4 underflowed
+        if math.isinf(out) or (
+            (value != 0.0 or name in ("M^4", "mu^4")) and abs(out) < sys.float_info.min
+        ):
+            raise NumericalBreakdown(
+                f"{name} leaves the floating-point range at this coordinate scale",
+                diagnostics={"quantity": name, "scaled_value": value, "scale_exponent": k},
+            )
+        raw[name] = out
+
+    m4_raw = raw["M^4"]
+    within_a = InequalityRecord("within_a", raw["within_a lhs"], raw["within_a rhs"], m4_raw)
+    within_b = InequalityRecord("within_b", raw["within_b lhs"], raw["within_b rhs"], m4_raw)
+    cross = InequalityRecord("cross", raw["cross lhs"], raw["cross rhs"], m4_raw)
+    # the certificate_bound of cert, from the square sums already at hand
+    ratio = InequalityRecord("ratio", m4 / mu4, _certificate_value(sum_sq_a + sum_sq_b))
+    audit = ChainAudit(within_a, within_b, cross, ratio, raw["square_slack"], tol)
     for rec in audit.records():
         if not rec.holds(tol):
             raise NumericalBreakdown(

@@ -12,6 +12,7 @@ same walk prefix and the result can only improve.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +21,7 @@ from lp_extremal.bounds import schuette_bound
 from lp_extremal.construct import build_configuration
 from lp_extremal.errors import NumericalBreakdown
 from lp_extremal.lpgeom import (
-    Configuration, _check_int, _pair_sums, _power_of_two_scaled, ratio_report
+    Configuration, _check_int, _pair_power_scan, _pair_sums, ratio_report
 )
 
 __all__ = ["SearchResult", "minimize_ratio"]
@@ -88,13 +89,12 @@ def _run_restart(seed_pts: np.ndarray, evals: int, rng: np.random.Generator):
     monotone in the budget by construction.
     """
     m, n = seed_pts.shape
-    # the ratio is scale-free; a power of two keeps the seed exact and its
-    # fourth powers inside the float range
-    seed_pts = _power_of_two_scaled(seed_pts)[0]
-    s4 = _pair_sums(seed_pts, 4.0)
+    # the ratio is scale-free; the scan's power of two keeps the seed exact
+    # and its fourth powers inside the float range, and it names duplicates
+    s4, seed_pts, _ = _pair_power_scan(seed_pts, 4.0)
     mx, mn = float(s4.max()), float(s4.min())
-    if mn <= 0.0:
-        raise ValueError("seed configuration contains duplicate points")
+    if mn < n * sys.float_info.min or not math.isfinite(mx / mn):
+        raise ValueError("seed configuration's distance ratio is too large to search")
     current = _normalize(seed_pts, mn ** 0.25)
     current_obj = (mx / mn) ** 0.25
     fast_best_obj = current_obj

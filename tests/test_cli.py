@@ -174,6 +174,20 @@ class TestSearch:
         seed_ratio = ratio_report(build_configuration(2).config).ratio
         assert body["result"]["best_ratio"] <= seed_ratio + 1e-12
 
+    @pytest.mark.parametrize(
+        "points, message",
+        [
+            ([[0, 0], [1, 0], [1, 1], [1, 1e-100]], "too large to search"),
+            ([[0, 0], [1, 0], [1, 1], [1, 1]], "duplicate points at indices (2, 3)"),
+        ],
+    )
+    def test_unsearchable_seed_file_is_exit_1(self, capsys, tmp_path, points, message):
+        cfg = write_config(tmp_path / "seed.json", points)
+        code, body = run_json(capsys, "search", "--n", "2", "--budget", "10", "--from", cfg)
+        assert code == 1
+        assert body["error"]["type"] == "ValueError"
+        assert message in body["error"]["message"]
+
     def test_best_out_is_certifiable(self, capsys, tmp_path):
         best = tmp_path / "best.json"
         code, _ = run(

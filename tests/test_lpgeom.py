@@ -52,10 +52,13 @@ class TestPNorm:
         assert p_norm([0.0, 0.0, 0.0], 3.7) == 0.0
 
     def test_rejects_bad_exponent(self):
-        with pytest.raises(ValueError):
-            p_norm([1.0], 0.5)
-        with pytest.raises(ValueError):
-            p_norm([1.0], math.inf)
+        # one named ValueError, never a TypeError or a conversion message
+        for p in (0.5, math.inf, math.nan, None, "x", [4], np.array([4.0]), True, np.True_):
+            for call in (lambda: p_norm([1.0], p),
+                         lambda: Configuration(UNIT_SQUARE, p),
+                         lambda: Configuration.from_dict({"points": UNIT_SQUARE, "p": p})):
+                with pytest.raises(ValueError, match="norm exponent must be a finite real >= 1"):
+                    call()
 
     def test_rejects_nonfinite_coords(self):
         with pytest.raises(ValueError):

@@ -83,6 +83,20 @@ class TestRadonPartition:
             assert "residual" in exc_info.value.diagnostics
             assert exc_info.value.diagnostics["rank"] == 5
 
+    def test_residual_verdict_does_not_change_with_scale(self):
+        # tol is relative to the largest coordinate: a tol just below r/scale
+        # fails at every power-of-two scale and one just above passes, where
+        # an absolute floor of 1 let any residual below 1e-10 pass at 2^-60
+        pts = np.random.default_rng(0).normal(size=(6, 4))
+        r = radon_partition(pts).residual
+        ratio = r / float(np.max(np.abs(pts)))
+        assert r > 0.0
+        for e in (-60, 0, 60):
+            scaled = np.ldexp(pts, e)
+            with pytest.raises(NumericalBreakdown, match="disagree"):
+                radon_partition(scaled, tol=ratio * (1.0 - 1e-6))
+            assert radon_partition(scaled, tol=ratio * (1.0 + 1e-6)).residual == math.ldexp(r, e)
+
     def test_translation_stability(self):
         rng = np.random.default_rng(1)
         pts = rng.normal(size=(5, 3))
@@ -219,9 +233,30 @@ class TestAuditChain:
             for _ in range(20):
                 pts = rng.normal(size=(n + 2, n))
                 cfg = Configuration(pts, 4.0)
-                audit = audit_chain(cfg, radon_partition(pts))
+                cert = radon_partition(pts)
+                audit = audit_chain(cfg, cert)
                 assert audit.all_hold()
                 assert audit.square_slack >= 0.0
+                assert audit.ratio.rhs == cert.certificate
+
+    @pytest.mark.parametrize("e", [30, 40, 51])
+    def test_set_far_from_the_origin(self, e):
+        # the stored common point carries an error of about ulp(offset); an
+        # audit that took its moments about it saw 'within_a' violated
+        pts = np.array([[-3.0, 0.0], [-2.0, -3.0], [4.0, 3.0], [-4.0, 5.0]]) + math.ldexp(1.0, e)
+        cert = radon_partition(pts)
+        audit = audit_chain(Configuration(pts, 4.0), cert)
+        assert audit.all_hold()
+        base = audit_chain(Configuration(pts - math.ldexp(1.0, e), 4.0), cert)
+        assert audit.ratio.to_dict() == base.ratio.to_dict()
+
+    def test_audit_does_not_read_the_common_point(self):
+        rng = np.random.default_rng(5)
+        pts = rng.normal(size=(6, 4)) + 1e3
+        cfg = Configuration(pts, 4.0)
+        cert = radon_partition(pts)
+        blank = RadonCertificate.from_dict({**cert.to_dict(), "common_point": [0.0] * 4})
+        assert audit_chain(cfg, blank).to_dict() == audit_chain(cfg, cert).to_dict()
 
     def test_scaling_covariance(self):
         rng = np.random.default_rng(3)
@@ -368,6 +403,8 @@ class TestScaleAndThreads:
         base_cfg, cfg = Configuration(x, 4.0), Configuration(x + t, 4.0)
         assert ratio_report(cfg).ratio == ratio_report(base_cfg).ratio
         assert is_equilateral(cfg)[0] == is_equilateral(base_cfg)[0]
+        # the audit takes its moments about a centre formed after translation
+        assert audit_chain(cfg, cert).all_hold()
 
     def test_certificate_bytes_do_not_depend_on_blas_threads(self):
         script = (

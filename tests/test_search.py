@@ -145,6 +145,19 @@ class TestSeeds:
         with pytest.raises(ValueError):
             minimize_ratio(2, 10, "car", 0)
 
+    def test_seed_with_an_underflowing_pair_is_not_a_duplicate(self):
+        # distinct points whose scaled fourth-power distance underflows to 0,
+        # and a normal smallest sum whose ratio to the largest overflows
+        for pts in ([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [1.0, 1e-100]],
+                    [[-0.99, -0.99], [0.99, 0.99], [0.0, 0.0], [0.0, 1.8e-77]]):
+            with pytest.raises(ValueError, match="too large to search"):
+                minimize_ratio(2, 10, [Configuration(np.array(pts), 4.0)], 0)
+
+    def test_seed_with_equal_points_names_them(self):
+        seed = Configuration(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [1.0, 1.0]]), 4.0)
+        with pytest.raises(ValueError, match=r"duplicate points at indices \(2, 3\)"):
+            minimize_ratio(2, 10, [seed], 0)
+
     def test_input_validation(self):
         with pytest.raises(ValueError):
             minimize_ratio(1, 10, "auto", 0)

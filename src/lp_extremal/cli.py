@@ -175,32 +175,26 @@ def _cmd_bound(args):
 
 def _cmd_construct(args):
     built = build_configuration(args.n)
-    diagnostics = {
-        "expected_ratio": built.expected_ratio,
-        "solution_even_part": built.solution_even_part.to_dict(),
-        "solution_odd_part": (
-            None if built.solution_odd_part is None else built.solution_odd_part.to_dict()
-        ),
-    }
+    result = built.to_dict()
+    diagnostics = result["diagnostics"]
     if args.both_branches:
         ks = [built.solution_even_part.k]
         if built.solution_odd_part is not None:
             ks.append(built.solution_odd_part.k)
         diagnostics["rejected_branch_beta"] = {str(k): solve_beta(k) for k in ks}
+    achieved = None
     if args.n <= ACHIEVED_RATIO_DIM_CAP:
         achieved = ratio_report(built.config).ratio
-        diagnostics["achieved_ratio"] = achieved
-        diagnostics["ratio_agreement"] = abs(achieved - built.expected_ratio)
-    else:
-        diagnostics["achieved_ratio"] = None
-        diagnostics["ratio_agreement"] = None
-    result = {**built.config.to_dict(), "diagnostics": diagnostics}
+    diagnostics["achieved_ratio"] = achieved
+    diagnostics["ratio_agreement"] = (
+        None if achieved is None else abs(achieved - built.expected_ratio)
+    )
     text = (
         f"n = {args.n}: {built.config.size} points, expected ratio "
         f"{built.expected_ratio!r}"
     )
-    if diagnostics["achieved_ratio"] is not None:
-        text += f", achieved {diagnostics['achieved_ratio']!r}"
+    if achieved is not None:
+        text += f", achieved {achieved!r}"
     return result, text
 
 

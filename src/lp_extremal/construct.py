@@ -265,16 +265,17 @@ class BuiltConfiguration:
     solution_odd_part: Optional[ConstructionSolution] = None
 
     def to_dict(self) -> dict:
-        out = {
-            "n": self.n,
-            "config": self.config.to_dict(),
-            "expected_ratio": self.expected_ratio,
-            "solution_even_part": self.solution_even_part.to_dict(),
-            "solution_odd_part": None,
+        """The configuration's wire format plus the solver provenance under
+        ``diagnostics``: the layout ``construct`` writes."""
+        odd = self.solution_odd_part
+        return {
+            **self.config.to_dict(),
+            "diagnostics": {
+                "expected_ratio": self.expected_ratio,
+                "solution_even_part": self.solution_even_part.to_dict(),
+                "solution_odd_part": None if odd is None else odd.to_dict(),
+            },
         }
-        if self.solution_odd_part is not None:
-            out["solution_odd_part"] = self.solution_odd_part.to_dict()
-        return out
 
 
 def build_configuration(n) -> BuiltConfiguration:

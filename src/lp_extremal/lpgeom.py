@@ -47,15 +47,20 @@ def _check_int(value, name: str, minimum: int) -> int:
     return value
 
 
-def _check_tol(tol) -> float:
-    """``tol`` as a float, required finite and >= 0."""
+def _check_real(value, name: str, minimum: int) -> float:
+    """``value`` as a float, required finite and >= ``minimum``.
+
+    Bools are rejected as in :func:`_check_int`, so True is not a 1.0.
+    """
     try:
-        t = float(tol)
+        if isinstance(value, (bool, np.bool_)):
+            raise TypeError
+        x = float(value)
     except (TypeError, ValueError):
-        t = math.nan
-    if not (math.isfinite(t) and t >= 0.0):
-        raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
-    return t
+        x = math.nan
+    if not (math.isfinite(x) and x >= minimum):
+        raise ValueError(f"{name} must be a finite number >= {minimum}, got {value!r}")
+    return x
 
 
 def _as_points(points) -> np.ndarray:
@@ -77,18 +82,6 @@ def _as_vector(v) -> list:
     if not all(map(math.isfinite, vals)):
         raise ValueError("coordinates must be finite (no NaN/inf)")
     return vals
-
-
-def _check_exponent(p) -> float:
-    """``p`` as a float, required finite and >= 1; bools are rejected as in
-    :func:`_check_int`."""
-    try:
-        pp = float(p)
-    except (TypeError, ValueError):
-        pp = math.nan
-    if not (math.isfinite(pp) and pp >= 1.0) or isinstance(p, (bool, np.bool_)):
-        raise ValueError(f"norm exponent must be a finite real >= 1, got {p!r}")
-    return pp
 
 
 def p_norm(v, p) -> float:
@@ -113,7 +106,7 @@ def p_norm(v, p) -> float:
         The norm; 0 exactly iff ``v`` is the zero vector.
     """
     vals = _as_vector(v)
-    pp = _check_exponent(p)
+    pp = _check_real(p, "norm exponent", 1)
     vmax = max(map(abs, vals))
     if vmax == 0.0:
         return 0.0
@@ -150,7 +143,7 @@ class Configuration:
         pts = _as_points(self.points)
         pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "p", _check_exponent(self.p))
+        object.__setattr__(self, "p", _check_real(self.p, "norm exponent", 1))
 
     @property
     def size(self) -> int:
@@ -287,34 +280,30 @@ def _pair_power_scan(pts: np.ndarray, p: float):
 
     The coordinate scale alone then cannot make the powers underflow or
     overflow, and selections agree with the unscaled sums.  Returns ``(sums,
-    x, k)``: the sums are in units of 2^(p*k) (distances in units of 2^k for
-    p other than 2 and 4) and ``x`` holds the scaled points.  Raises
-    ValueError naming the row-major first pair of exactly equal points.
-    Only pairs whose value is exactly 0 are compared, so a distinct pair
-    whose power sum underflowed is not a duplicate.
+    x, k, low, dists)``: the sums are in units of 2^(p*k) (distances in units
+    of 2^k for p other than 2 and 4) and ``x`` holds the scaled points.
+
+    ``low`` holds the row-major positions of the sums that may have lost
+    digits to underflow, and ``dists`` the :func:`p_norm` distances of those
+    pairs of rows of ``x``.  Each of the n terms of a sum loses at most one
+    subnormal unit, so a sum at or above n times the smallest normal float
+    is accurate to about one rounding.  Below that (scaled points about
+    1e-77 apart for p = 4, 1e-154 for p = 2) the sums no longer order the
+    distances.  The low pairs are walked in row-major order, and the first
+    pair of exactly equal points raises ValueError naming it; a distinct
+    pair whose power sum underflowed is not a duplicate.
     """
     x, k = _power_of_two_scaled(pts)
     sums = _pair_sums(x, p)
-    m = pts.shape[0]
-    for t in np.flatnonzero(sums == 0.0):
-        i, j = _pair_at(int(t), m)
+    m, n = pts.shape
+    low = np.flatnonzero(sums < n * sys.float_info.min)
+    dists = np.empty(low.size)
+    for r, t in enumerate(low.tolist()):
+        i, j = _pair_at(t, m)
         if np.array_equal(pts[i], pts[j]):
             raise ValueError(f"duplicate points at indices {(i, j)}")
-    return sums, x, k
-
-
-def _underflowed(sums: np.ndarray, x: np.ndarray, p: float):
-    """Row-major positions of the pair sums that may have lost digits to
-    underflow, and the :func:`p_norm` distances of those pairs of rows of ``x``.
-
-    Each of the n terms of a sum loses at most one subnormal unit, so a sum
-    at or above n times the smallest normal float is accurate to about one
-    rounding.  Below that (scaled points about 1e-77 apart for p = 4, 1e-154
-    for p = 2) the sums no longer order the distances.
-    """
-    low = np.flatnonzero(sums < x.shape[1] * sys.float_info.min)
-    pairs = (_pair_at(int(t), x.shape[0]) for t in low)
-    return low, np.array([p_norm(x[j] - x[i], p) for i, j in pairs])
+        dists[r] = p_norm(x[j] - x[i], p)
+    return sums, x, k, low, dists
 
 
 def ratio_report(config: Configuration) -> RatioReport:
@@ -333,10 +322,9 @@ def ratio_report(config: Configuration) -> RatioReport:
         maximizing and a minimizing pair (first encountered on ties).
     """
     m = config.size
-    sums, x, k = _pair_power_scan(config.points, config.p)
+    sums, x, k, low, dists = _pair_power_scan(config.points, config.p)
     tmax = int(np.argmax(sums))
     tmin = int(np.argmin(sums))
-    low, dists = _underflowed(sums, x, config.p)
     if low.size:
         # the extremes among underflowed sums are chosen by their p_norm distances
         tmin = int(low[np.argmin(dists)])
@@ -365,8 +353,8 @@ def is_equilateral(config: Configuration, tol: float = DEFAULT_TOL) -> tuple[boo
     the pairwise distances, and ``lam`` is the mean pairwise distance when the
     flag is true (None otherwise).
     """
-    tol = _check_tol(tol)
-    sums, x, k = _pair_power_scan(config.points, config.p)
+    tol = _check_real(tol, "tol", 0)
+    sums, x, k, low, repriced = _pair_power_scan(config.points, config.p)
     # distances in units of 2^k: the verdict is scale-free, only lam is mapped back
     if config.p == 4.0:
         dists = np.sqrt(np.sqrt(sums))
@@ -374,9 +362,7 @@ def is_equilateral(config: Configuration, tol: float = DEFAULT_TOL) -> tuple[boo
         dists = np.sqrt(sums)
     else:
         dists = sums
-    low, repriced = _underflowed(sums, x, config.p)
-    if low.size:
-        dists[low] = repriced
+    dists[low] = repriced
     dmax = float(np.max(dists))
     dmin = float(np.min(dists))
     if dmax - dmin <= tol * dmax:

@@ -16,7 +16,7 @@ import numpy as np
 
 from lp_extremal.errors import NumericalBreakdown
 from lp_extremal.lpgeom import (
-    Configuration, _as_points, _check_tol, _pair_power_scan, _power_of_two_scaled
+    Configuration, _as_points, _check_real, _pair_power_scan, _power_of_two_scaled
 )
 
 __all__ = [
@@ -198,7 +198,7 @@ def radon_partition(points, tol: float = WEIGHT_RESIDUAL_TOL) -> RadonCertificat
     m, n = pts.shape
     if m != n + 2:
         raise ValueError(f"need exactly n+2 = {n + 2} points in R^{n}, got {m}")
-    tol = _check_tol(tol)
+    tol = _check_real(tol, "tol", 0)
     x, k = _power_of_two_scaled(pts)
     lam, condition = _null_vector(x)
     condition["scale_exponent"] = k
@@ -345,11 +345,12 @@ def audit_chain(
     M^4 and mu^4 come from fourth-power sums, never from rooted distances.
     Reported values are mapped back by 2^(4k), which is exact in the normal
     range; a value that would leave the floating-point range raises
-    NumericalBreakdown carrying k.  The fourth-power inequalities are
-    tested to ``tol`` relative to M^4, so the verdict is scale-free.  A
-    violated inequality also raises NumericalBreakdown: the chain is a
-    theorem, so a violation means degenerate numerics or an implementation
-    bug, not a counterexample.
+    NumericalBreakdown carrying k.  So does a set with a pair below the pair
+    scan's underflow floor, whose mu^4 may have lost digits in any frame.
+    The fourth-power inequalities are tested to ``tol`` relative to M^4, so
+    the verdict is scale-free.  A violated inequality also raises
+    NumericalBreakdown: the chain is a theorem, so a violation means
+    degenerate numerics or an implementation bug, not a counterexample.
     """
     if config.p != 4.0:
         raise ValueError(f"the certificate chain is specific to p = 4, got p = {config.p}")
@@ -358,11 +359,17 @@ def audit_chain(
         raise ValueError(f"need exactly n+2 = {n + 2} points, got {m}")
     if sorted(cert.side_a + cert.side_b) != list(range(m)):
         raise ValueError("certificate sides do not cover the configuration's indices")
-    tol = _check_tol(tol)
+    tol = _check_real(tol, "tol", 0)
 
-    sums, x, k = _pair_power_scan(config.points, 4.0)
+    sums, x, k, low, _ = _pair_power_scan(config.points, 4.0)
     m4 = float(sums.max())
     mu4 = float(sums.min())
+    if low.size:
+        raise NumericalBreakdown(
+            "mu^4 may have lost digits to underflow: the closest pair is too close "
+            "relative to the largest coordinate",
+            diagnostics={"quantity": "mu^4", "scaled_value": mu4, "scale_exponent": k},
+        )
     # exact (Sterbenz) wherever the offset dominates the spread
     x = x - x[0]
     a = x[list(cert.side_a)]
@@ -392,10 +399,7 @@ def audit_chain(
             out = math.ldexp(value, 4 * k)
         except OverflowError:
             out = math.inf
-        # the pair scan rejected duplicates, so a zero M^4 or mu^4 underflowed
-        if math.isinf(out) or (
-            (value != 0.0 or name in ("M^4", "mu^4")) and abs(out) < sys.float_info.min
-        ):
+        if math.isinf(out) or (value != 0.0 and abs(out) < sys.float_info.min):
             raise NumericalBreakdown(
                 f"{name} leaves the floating-point range at this coordinate scale",
                 diagnostics={"quantity": name, "scaled_value": value, "scale_exponent": k},

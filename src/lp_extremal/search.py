@@ -12,7 +12,6 @@ same walk prefix and the result can only improve.
 """
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,9 +90,9 @@ def _run_restart(seed_pts: np.ndarray, evals: int, rng: np.random.Generator):
     m, n = seed_pts.shape
     # the ratio is scale-free; the scan's power of two keeps the seed exact
     # and its fourth powers inside the float range, and it names duplicates
-    s4, seed_pts, _ = _pair_power_scan(seed_pts, 4.0)
+    s4, seed_pts, _, low, _ = _pair_power_scan(seed_pts, 4.0)
     mx, mn = float(s4.max()), float(s4.min())
-    if mn < n * sys.float_info.min or not math.isfinite(mx / mn):
+    if low.size or not math.isfinite(mx / mn):
         raise ValueError("seed configuration's distance ratio is too large to search")
     current = _normalize(seed_pts, mn ** 0.25)
     current_obj = (mx / mn) ** 0.25
@@ -120,7 +119,6 @@ def _run_restart(seed_pts: np.ndarray, evals: int, rng: np.random.Generator):
         if cmn <= 0.0:
             continue  # coincident points: infinite ratio, never accepted
         cand_obj = (cmx / cmn) ** 0.25
-        cand = _normalize(cand, cmn ** 0.25)
         delta = cand_obj - current_obj
         exploring = jc < EXPLORE_LEN
         accept = delta <= 0.0 or (
@@ -128,15 +126,15 @@ def _run_restart(seed_pts: np.ndarray, evals: int, rng: np.random.Generator):
         )
         if not accept:
             continue
-        current = cand
+        current = _normalize(cand, cmn ** 0.25)
         current_obj = cand_obj
         if cand_obj < fast_best_obj:
             fast_best_obj = cand_obj
-            fast_best_pts = cand
-            public = ratio_report(Configuration(cand, 4.0)).ratio
+            fast_best_pts = current
+            public = ratio_report(Configuration(current, 4.0)).ratio
             if public < public_best:
                 public_best = public
-                public_best_pts = cand
+                public_best_pts = current
     return public_best, public_best_pts
 
 

@@ -153,6 +153,17 @@ class TestConstructPipeline:
         assert set(betas) == {"2"}
         assert 0.0 < betas["2"] < 2.0 ** -0.25
 
+    def test_construct_result_is_the_built_layout(self, capsys, monkeypatch):
+        # above the cap the O(m^2 n) cross-check is skipped and reported as null
+        monkeypatch.setattr(lp_extremal.cli, "ACHIEVED_RATIO_DIM_CAP", 3)
+        for n in (3, 4):
+            code, body = run_json(capsys, "construct", "--n", str(n), "--json")
+            assert code == 0
+            diag = body["result"]["diagnostics"]
+            achieved, agreement = diag.pop("achieved_ratio"), diag.pop("ratio_agreement")
+            assert (achieved is None, agreement is None) == (n > 3, n > 3)
+            assert body["result"] == build_configuration(n).to_dict()
+
 
 class TestSearch:
     def test_identical_manifests_identical_payloads(self, capsys):
@@ -415,6 +426,15 @@ class TestErrors:
         assert code == 1
         assert body["error"]["type"] == "NumericalBreakdown"
         assert body["error"]["diagnostics"]["residual"] == "inf"
+
+    def test_audit_below_the_underflow_floor_is_exit_1(self, capsys, tmp_path):
+        rows = [[3, -5], [-4, -3], [-4, 3], [4, 1], [-5, -4]]
+        pts = [[2.0 ** 100, u * 2.0 ** 100 * 1e-80, v * 2.0 ** 100 * 1e-80] for u, v in rows]
+        code, body = run_json(capsys, "audit", write_config(tmp_path / "low.json", pts), "--json")
+        assert code == 1
+        assert body["error"]["type"] == "NumericalBreakdown"
+        assert body["error"]["message"].startswith("mu^4 may have lost digits to underflow")
+        assert body["error"]["diagnostics"]["scale_exponent"] == 101
 
     def test_max_distance_beyond_float_range_is_named(self, capsys, tmp_path):
         pts = [[1e308, 0.0], [-1e308, 0.0], [0.0, 1.7e308], [0.0, -1.7e308]]

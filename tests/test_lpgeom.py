@@ -57,7 +57,7 @@ class TestPNorm:
             for call in (lambda: p_norm([1.0], p),
                          lambda: Configuration(UNIT_SQUARE, p),
                          lambda: Configuration.from_dict({"points": UNIT_SQUARE, "p": p})):
-                with pytest.raises(ValueError, match="norm exponent must be a finite real >= 1"):
+                with pytest.raises(ValueError, match="norm exponent must be a finite number >= 1"):
                     call()
 
     def test_rejects_nonfinite_coords(self):
@@ -307,7 +307,7 @@ class TestPairKernel:
     def test_sums_match_the_row_scan_bit_for_bit(self, p, n):
         for pts in kernel_inputs(n).values():
             ref, k = reference_row_scan(pts, p)
-            sums, x, k_scan = lpgeom._pair_power_scan(pts, p)
+            sums, x, k_scan, _, _ = lpgeom._pair_power_scan(pts, p)
             assert k_scan == k
             assert np.array_equal(x, np.ldexp(pts, -k))
             assert np.array_equal(sums, ref)
@@ -363,7 +363,7 @@ class TestPairKernel:
 
     def test_underflowed_sum_is_not_a_duplicate(self):
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [1e-100, 0.0]])
-        sums, _, _ = lpgeom._pair_power_scan(pts, 4.0)
+        sums, _, _, _, _ = lpgeom._pair_power_scan(pts, 4.0)
         assert sums[1] == 0.0
         rep = ratio_report(Configuration(pts, 4.0))
         assert rep.argmin_pair == (0, 2)
@@ -372,8 +372,12 @@ class TestPairKernel:
 
     def test_underflowed_pairs_are_ordered_by_distance(self):
         # the first set's pairs (0, 1) and (2, 3) both sum to 0 after scaling;
-        # the true minimum is the second, at 1e-100
-        rep = ratio_report(Configuration([[0, 0], [3e-100, 0], [1, 0], [1, 1e-100]], 4.0))
+        # the scan prices them, and the true minimum is the second, at 1e-100
+        pts = np.array([[0, 0], [3e-100, 0], [1, 0], [1, 1e-100]])
+        _, x, _, low, dists = lpgeom._pair_power_scan(pts, 4.0)
+        assert low.tolist() == [0, 5]
+        assert dists.tolist() == [p_norm(x[1] - x[0], 4.0), p_norm(x[3] - x[2], 4.0)]
+        rep = ratio_report(Configuration(pts, 4.0))
         assert (rep.min_dist, rep.argmin_pair) == (1e-100, (2, 3))
         assert (rep.max_dist, rep.argmax_pair) == (1.0, (0, 2))
         # every pair underflows, so the maximum is repriced too
@@ -411,6 +415,6 @@ class TestPairKernel:
     def test_general_p_values_are_distances(self):
         pts = kernel_inputs(5)["random"]
         for p in (1.0, 3.0, 7.5):
-            vals, _, k = lpgeom._pair_power_scan(pts, p)
+            vals, _, k, _, _ = lpgeom._pair_power_scan(pts, p)
             ref = brute_force_pairs(pts, p)
             assert np.allclose(np.ldexp(vals, k), list(ref.values()), rtol=1e-12, atol=0)

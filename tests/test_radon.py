@@ -119,7 +119,7 @@ class TestRadonPartition:
         np.testing.assert_allclose(cert.common_point, [1.55e308, 5e306], rtol=1e-15)
         assert cert.residual <= 1e-10 * 1.6e308
 
-    @pytest.mark.parametrize("tol", [-1.0, math.nan, math.inf, -math.inf, None, "x"])
+    @pytest.mark.parametrize("tol", [-1.0, math.nan, math.inf, -math.inf, None, "x", True, np.True_])
     def test_invalid_tolerance_is_rejected_everywhere(self, tol):
         config = Configuration(UNIT_SQUARE, 4.0)
         cert = radon_partition(UNIT_SQUARE)
@@ -304,6 +304,22 @@ class TestAuditChain:
         with pytest.raises(NumericalBreakdown, match="mu\\^4") as exc_info:
             audit_chain(Configuration(pts, 4.0), cert)
         assert exc_info.value.diagnostics["scale_exponent"] == 1
+
+    @pytest.mark.parametrize("e", [0, 100, 400])
+    def test_min_distance_below_the_underflow_floor_is_a_named_error(self, e):
+        # the spread is about 1e-79 of the first coordinate, so every scaled
+        # fourth-power sum is subnormal; an audit that went on lost digits of
+        # mu^4 and returned ratio.lhs 3.9e-3 away from the exact ratio^4
+        rows = np.array([[3, -5], [-4, -3], [-4, 3], [4, 1], [-5, -4]])
+        pts = np.column_stack([np.full(5, 2.0 ** e), rows * (2.0 ** e * 1e-80)])
+        cfg = Configuration(pts, 4.0)
+        with pytest.raises(NumericalBreakdown, match="mu\\^4 may have lost digits") as exc_info:
+            audit_chain(cfg, radon_partition(pts))
+        diag = exc_info.value.diagnostics
+        assert diag["scale_exponent"] == e + 1
+        assert 0.0 < diag["scaled_value"] < 3 * sys.float_info.min
+        # the ratio itself is repriced from distances and does not move
+        assert ratio_report(cfg).ratio == 7.7421985432164435
 
     def test_duplicate_points_break_partition(self):
         # a coincident pair makes both sides singletons: sum of squared

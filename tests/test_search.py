@@ -77,6 +77,15 @@ class TestSearchQuality:
             ]
             assert ratios[0] >= ratios[1] >= ratios[2]
 
+    def test_monotone_across_cycle_reheats(self):
+        # one restart of CYCLE_LEN + 1 and 2 * CYCLE_LEN + 1 evaluations
+        # reheats from its best configuration once and twice
+        seed = [build_configuration(3).config]
+        results = [minimize_ratio(3, budget, seed, 9) for budget in (2500, 2501, 5001)]
+        assert results[-1].to_dict() == minimize_ratio(3, 5001, seed, 9).to_dict()
+        ratios = [res.best_ratio for res in results]
+        assert ratios[0] >= ratios[1] >= ratios[2]
+
     def test_never_below_bound(self):
         for n in range(2, 7):
             res = minimize_ratio(n, 800, "auto", n)

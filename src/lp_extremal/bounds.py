@@ -101,13 +101,9 @@ class BoundTable:
         return {"rows": [r.to_dict() for r in self.rows]}
 
     def to_csv(self) -> str:
-        """CSV with header n,p,bound,epsilon; floats at 17 significant digits."""
+        """CSV with header n,p,bound,epsilon; floats as their shortest round-trip repr."""
         lines = ["n,p,bound,epsilon"]
-        for r in self.rows:
-            lines.append(
-                f"{r.n},{format(r.p, '.17g')},{format(r.bound, '.17g')},"
-                f"{format(r.epsilon, '.17g')}"
-            )
+        lines += [f"{r.n},{r.p!r},{r.bound!r},{r.epsilon!r}" for r in self.rows]
         return "\n".join(lines) + "\n"
 
 

@@ -3,10 +3,10 @@
 Every output file embeds a run manifest (command, argv, tolerance,
 seed, version, timestamp); numeric payloads are functions of the
 manifest minus its timestamp, so reruns reproduce them bit for bit.
-Floats are serialized with 17 significant digits, which round-trips
-IEEE doubles losslessly.  Exit codes: 0 success, 1 violated
-precondition (machine-readable error object on stdout), 2 broken
-input files or I/O.
+JSON is written on one line by ``json.dumps``: each float appears as its
+shortest round-trip repr and reads back as the same double, still a
+float.  Exit codes: 0 success, 1 violated precondition
+(machine-readable error object on stdout), 2 broken input files or I/O.
 """
 
 import argparse
@@ -14,12 +14,11 @@ import json
 import math
 import sys
 from datetime import datetime, timezone
-from itertools import repeat
 
 import numpy as np
 
 from lp_extremal import __version__
-from lp_extremal.bounds import bound_sweep, epsilon_threshold, schuette_bound
+from lp_extremal.bounds import bound_sweep, epsilon_threshold
 from lp_extremal.construct import build_configuration, solve_beta
 from lp_extremal.errors import NumericalBreakdown
 from lp_extremal.lpgeom import DEFAULT_TOL, Configuration, is_equilateral, ratio_report
@@ -57,41 +56,9 @@ def _manifest(args, argv) -> dict:
     }
 
 
-def _format_json(value, indent=0) -> str:
-    """Deterministic JSON with floats at 17 significant digits."""
-    pad = "  " * indent
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = ",\n".join(
-            f'{pad}  {json.dumps(str(k))}: {_format_json(v, indent + 1)}'
-            for k, v in value.items()
-        )
-        return "{\n" + items + "\n" + pad + "}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        if all(type(v) is float for v in value):
-            # a coordinate row: one finiteness pass, one join
-            if not all(map(math.isfinite, value)):
-                bad = next(v for v in value if not math.isfinite(v))
-                raise ValueError(f"refusing to serialize non-finite float {bad!r}")
-            items = (",\n" + pad + "  ").join(map(format, value, repeat(".17g")))
-            return "[\n" + pad + "  " + items + "\n" + pad + "]"
-        items = ",\n".join(f"{pad}  {_format_json(v, indent + 1)}" for v in value)
-        return "[\n" + items + "\n" + pad + "]"
-    if isinstance(value, bool) or value is None:
-        return json.dumps(value)
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        value = float(value)
-        if not math.isfinite(value):
-            raise ValueError(f"refusing to serialize non-finite float {value!r}")
-        return format(value, ".17g")
-    if isinstance(value, str):
-        return json.dumps(value)
-    raise TypeError(f"cannot serialize {type(value).__name__} to JSON")
+def _dumps(value) -> str:
+    """One line of JSON; a non-finite float is a ValueError."""
+    return json.dumps(value, allow_nan=False) + "\n"
 
 
 def _write(path: str, payload: str) -> None:
@@ -108,7 +75,7 @@ def _emit(args, result: dict, text: str) -> None:
         payload = f"# manifest: {compact}\n{text}"
     elif args.json or args.out is not None:
         envelope = {"schema": SCHEMA_VERSION, "manifest": args.manifest, "result": result}
-        payload = _format_json(envelope) + "\n"
+        payload = _dumps(envelope)
     else:
         payload = text if text.endswith("\n") else text + "\n"
     if args.out is not None:
@@ -164,13 +131,8 @@ def _cmd_bound(args):
         raise ValueError("bound needs either --n or --sweep")
     if args.csv:
         raise ValueError("CSV output is only available for 'bound --sweep'")
-    row = {
-        "n": args.n,
-        "p": float(p),
-        "bound": schuette_bound(args.n, p),
-        "epsilon": epsilon_threshold(args.n, p),
-    }
-    return row, repr(row["bound"])
+    row = bound_sweep(args.n, args.n, p).rows[0]
+    return row.to_dict(), repr(row.bound)
 
 
 def _cmd_construct(args):
@@ -245,7 +207,7 @@ def _cmd_search(args):
             **res.best_config.to_dict(),
             "best_ratio": res.best_ratio,
         }
-        _write(args.best_out, _format_json(body) + "\n")
+        _write(args.best_out, _dumps(body))
     result = res.to_dict()
     text = (
         f"best ratio {res.best_ratio!r} after {res.evaluations} evaluations "
@@ -359,13 +321,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _diagnostic(value):
-    """A diagnostics value for JSON: arrays as lists, a non-finite float as its repr."""
-    if isinstance(value, np.ndarray):
+    """A diagnostics value for JSON: numpy values as Python ones, a non-finite float as text."""
+    if isinstance(value, (np.ndarray, np.generic)):
         value = value.tolist()
     if isinstance(value, (list, tuple)):
         return [_diagnostic(v) for v in value]
-    if isinstance(value, (float, np.floating)) and not math.isfinite(value):
-        return repr(float(value))
+    if isinstance(value, float) and not math.isfinite(value):
+        return repr(value)
     return value
 
 
@@ -380,7 +342,7 @@ def _error_object(exc, code: int) -> str:
     }
     if isinstance(exc, NumericalBreakdown):
         body["error"]["diagnostics"] = {k: _diagnostic(v) for k, v in exc.diagnostics.items()}
-    return _format_json(body) + "\n"
+    return _dumps(body)
 
 
 def main(argv=None) -> int:

@@ -86,13 +86,8 @@ def _null_vector(x: np.ndarray):
 
 
 def _square_sum(weights: np.ndarray) -> float:
-    """Compensated sum of the squared weights.
-
-    ``** 2`` goes through the C library's pow, whose last bit differs from
-    the correctly rounded ``w * w`` in about one square in a thousand; it is
-    kept so that certificates keep their bits.
-    """
-    return math.fsum([w ** 2 for w in weights.tolist()])
+    """Compensated sum of the squared weights."""
+    return math.fsum([w * w for w in weights.tolist()])
 
 
 def _certificate_value(sum_sq: float) -> float:

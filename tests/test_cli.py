@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -22,7 +23,7 @@ from lp_extremal import (
     ratio_report,
     schuette_bound,
 )
-from lp_extremal.cli import _format_json, main
+from lp_extremal.cli import main
 
 
 def run(capsys, *argv):
@@ -95,6 +96,11 @@ class TestBound:
         assert code == 1
         assert "N1..N2" in body["error"]["message"]
 
+    def test_non_integer_sweep_endpoint(self, capsys):
+        code, body = run_json(capsys, "bound", "--sweep", "2..x")
+        assert code == 1
+        assert "sweep endpoints must be integers" in body["error"]["message"]
+
     def test_csv_requires_sweep(self, capsys):
         code, body = run_json(capsys, "bound", "--n", "2", "--csv")
         assert code == 1
@@ -152,6 +158,11 @@ class TestConstructPipeline:
         betas = body["result"]["diagnostics"]["rejected_branch_beta"]
         assert set(betas) == {"2"}
         assert 0.0 < betas["2"] < 2.0 ** -0.25
+
+    def test_both_branches_on_odd_n_reports_both_parts(self, capsys):
+        code, body = run_json(capsys, "construct", "--n", "5", "--json", "--both-branches")
+        assert code == 0
+        assert set(body["result"]["diagnostics"]["rejected_branch_beta"]) == {"2", "3"}
 
     def test_construct_result_is_the_built_layout(self, capsys, monkeypatch):
         # above the cap the O(m^2 n) cross-check is skipped and reported as null
@@ -276,31 +287,55 @@ class TestCheckEquilateral:
         assert body["result"]["equilateral"] is False and body["result"]["lambda"] is None
 
 
-class TestFormatJson:
-    def test_float_rows_and_mixed_lists_keep_their_bytes(self):
-        body = {
-            "rows": [[-0.0, 5e-324, 1e308, 0.1], [1.0, 2.5]],
-            "n": 3,
-            "flag": True,
-            "none": None,
-            "mixed": [1, 0.5, False, None, "x"],
-            "empty": [],
-            "tup": (0.25, -1e-300),
+def float_leaves(value):
+    """The floats of a JSON-like value, depth first; tuples read as lists."""
+    if isinstance(value, dict):
+        return [x for v in value.values() for x in float_leaves(v)]
+    if isinstance(value, (list, tuple)):
+        return [x for v in value for x in float_leaves(v)]
+    return [value] if isinstance(value, float) else []
+
+
+class TestJsonOutput:
+    EDGE_FLOATS = [-0.0, 1.0, 5e-324, 1e308, 0.1]
+
+    def test_floats_keep_their_value_type_and_sign(self, capsys, monkeypatch):
+        floats = self.EDGE_FLOATS
+        result = {
+            "dict": dict(zip("abcde", floats)),
+            "list": [floats, 3, True, None, "x"],
+            "tuple": tuple(floats),
         }
-        expected = (
-            '{\n  "rows": [\n    [\n      -0,\n      4.9406564584124654e-324,\n'
-            "      1e+308,\n      0.10000000000000001\n    ],\n    [\n      1,\n"
-            '      2.5\n    ]\n  ],\n  "n": 3,\n  "flag": true,\n  "none": null,\n'
-            '  "mixed": [\n    1,\n    0.5,\n    false,\n    null,\n    "x"\n  ],\n'
-            '  "empty": [],\n  "tup": [\n    0.25,\n    -1e-300\n  ]\n}'
-        )
-        assert _format_json(body) == expected
+        monkeypatch.setattr(lp_extremal.cli, "_cmd_bound", lambda args: (result, "text"))
+        code, out = run(capsys, "bound", "--json")
+        assert code == 0
+        assert out.count("\n") == 1
+        loaded = json.loads(out)["result"]
+        assert loaded == {**result, "tuple": list(floats)}
+        assert type(loaded["list"][1]) is int and loaded["list"][2] is True
+        leaves = float_leaves(loaded)
+        assert len(leaves) == 3 * len(floats)
+        for got, want in zip(leaves, floats * 3):
+            assert type(got) is float
+            assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+
+    def test_integral_exponent_stays_a_float(self, capsys):
+        code, body = run_json(capsys, "bound", "--n", "2", "--json")
+        assert code == 0
+        assert type(body["result"]["p"]) is float and body["result"]["p"] == 4.0
+        assert type(body["result"]["n"]) is int
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_non_finite_floats_are_refused(self, bad):
-        for value in ([1.0, bad], [[0.5, bad]], {"x": [bad, 1]}):
-            with pytest.raises(ValueError, match="non-finite"):
-                _format_json(value)
+    def test_non_finite_result_is_a_one_line_error(self, capsys, monkeypatch, bad):
+        monkeypatch.setattr(
+            lp_extremal.cli, "_cmd_bound", lambda args: ({"x": [1.0, bad]}, "text")
+        )
+        code = main(["bound", "--json"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.err == ""
+        assert captured.out.count("\n") == 1
+        error = json.loads(captured.out)["error"]
+        assert error["type"] == "ValueError" and error["exit_code"] == 1
 
 
 class TestErrors:
@@ -308,6 +343,13 @@ class TestErrors:
         code, body = run_json(capsys, "certify", "/nonexistent/cfg.json")
         assert code == 2
         assert body["error"]["exit_code"] == 2
+
+    def test_out_into_missing_directory_is_exit_2(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "b.json"
+        code, body = run_json(capsys, "bound", "--n", "2", "--out", str(target))
+        assert code == 2
+        assert body["error"]["message"].startswith("cannot write")
+        assert not target.parent.exists()
 
     def test_garbage_json_is_exit_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
@@ -427,6 +469,20 @@ class TestErrors:
         assert body["error"]["type"] == "NumericalBreakdown"
         assert body["error"]["diagnostics"]["residual"] == "inf"
 
+    def test_numpy_diagnostics_are_written_as_python_values(self, capsys, tmp_path, monkeypatch):
+        def breakdown(points, tol):
+            diagnostics = {"rank": np.int64(3), "flag": np.True_, "pivot": np.float64(0.5),
+                           "lambda": np.array([1.0, -math.inf])}
+            raise NumericalBreakdown("planted", diagnostics=diagnostics)
+
+        monkeypatch.setattr(lp_extremal.cli, "radon_partition", breakdown)
+        code = main(["certify", write_config(tmp_path / "sq.json", UNIT_SQUARE)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.err == ""
+        diag = json.loads(captured.out)["error"]["diagnostics"]
+        assert diag == {"rank": 3, "flag": True, "pivot": 0.5, "lambda": [1.0, "-inf"]}
+        assert type(diag["rank"]) is int and diag["flag"] is True
+
     def test_audit_below_the_underflow_floor_is_exit_1(self, capsys, tmp_path):
         rows = [[3, -5], [-4, -3], [-4, 3], [4, 1], [-5, -4]]
         pts = [[2.0 ** 100, u * 2.0 ** 100 * 1e-80, v * 2.0 ** 100 * 1e-80] for u, v in rows]
@@ -444,6 +500,34 @@ class TestErrors:
         code, body = run_json(capsys, "audit", cfg, "--json")
         assert code == 1
         assert "floating-point range" in body["error"]["message"]
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_commands():
+    """(argv, comment) of each `lp-extremal` line in the README's Command line block."""
+    section = README.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = []
+    for line in block.splitlines():
+        command, _, comment = line.partition("#")
+        argv = shlex.split(command)
+        if argv[:1] == ["lp-extremal"]:
+            commands.append((argv[1:], comment.strip()))
+    return commands
+
+
+class TestReadme:
+    def test_command_line_examples_run_in_order(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        commands = readme_commands()
+        assert len(commands) == 8
+        for i, (argv, comment) in enumerate(commands):
+            code, out = run(capsys, *argv)
+            assert code == 0, (argv, out)
+            if i == 0:
+                assert out == comment + "\n"
 
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"

@@ -194,6 +194,15 @@ class TestRatioReport:
             assert rep.ratio == rep.max_dist / rep.min_dist
             assert rep.ratio >= 1.0
 
+    def test_to_dict_writes_pairs_as_lists(self):
+        rep = ratio_report(Configuration(TRIANGLE, 4.0))
+        body = rep.to_dict()
+        assert body["argmax_pair"] == list(rep.argmax_pair)
+        assert body["argmin_pair"] == list(rep.argmin_pair)
+        assert all(type(body[k]) is list for k in ("argmax_pair", "argmin_pair"))
+        assert (body["max_dist"], body["min_dist"], body["ratio"]) == (
+            rep.max_dist, rep.min_dist, rep.ratio)
+
     def test_invariances(self):
         rng = np.random.default_rng(5)
         pts = rng.normal(size=(5, 3))

@@ -280,6 +280,16 @@ class TestAuditChain:
         with pytest.raises(ValueError, match="p = 4"):
             audit_chain(cfg, cert)
 
+    def test_rejects_a_certificate_that_does_not_fit_the_configuration(self):
+        cert = radon_partition(UNIT_SQUARE)
+        five = np.vstack([UNIT_SQUARE, [[0.5, 0.25]]])
+        with pytest.raises(ValueError, match="need exactly n\\+2 = 4 points, got 5"):
+            audit_chain(Configuration(five, 4.0), cert)
+        outside = [i + 4 for i in cert.side_b]
+        shifted = RadonCertificate.from_dict({**cert.to_dict(), "side_b": outside})
+        with pytest.raises(ValueError, match="sides do not cover"):
+            audit_chain(Configuration(UNIT_SQUARE, 4.0), shifted)
+
     def test_rejects_duplicates(self):
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [1.0, 1.0]])
         # partitioning collapses onto the coincident pair, so hand a

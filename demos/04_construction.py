@@ -18,7 +18,6 @@ from lp_extremal import (
     ratio_report,
     schuette_bound,
     solve_alpha,
-    solve_beta,
     solve_system,
 )
 
@@ -29,10 +28,9 @@ print(f"     y = {sol.y!r} (closed form {8.0 ** -0.25!r})")
 
 print()
 
-# the auxiliary roots: alpha < 0 feeds the construction, beta > 0 is
-# the rejected branch of the same equation
+# the auxiliary root alpha < 0 of f(t) = (2/k)^(1/4) feeds the construction
 for k in (1, 2, 5, 20):
-    print(f"k={k:<3d} alpha = {solve_alpha(k): .12f}   beta = {solve_beta(k): .12f}")
+    print(f"k={k:<3d} alpha = {solve_alpha(k): .12f}")
 
 print()
 

@@ -24,7 +24,6 @@ from lp_extremal.construct import (
     build_configuration,
     f_eval,
     solve_alpha,
-    solve_beta,
     solve_system,
 )
 from lp_extremal.errors import NumericalBreakdown
@@ -75,7 +74,6 @@ __all__ = [
     "ratio_report",
     "schuette_bound",
     "solve_alpha",
-    "solve_beta",
     "solve_system",
     "__version__",
 ]

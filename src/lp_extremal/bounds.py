@@ -10,7 +10,7 @@ norm-equivalence factor n^{|1/4 - 1/p|}.
 import math
 from dataclasses import dataclass
 
-from lp_extremal.lpgeom import _check_int
+from lp_extremal.lpgeom import _check_int, _check_real
 
 __all__ = [
     "schuette_bound",
@@ -68,13 +68,12 @@ def norm_equivalence_factor(n, p) -> float:
     """Two-sided comparison constant between the 4-norm and the p-norm.
 
     For every v in R^n, each of ||v||_4 and ||v||_p bounds the other
-    within a factor n^{|1/4 - 1/p|}.  p = math.inf is accepted here
+    within a factor n^{|1/4 - 1/p|}.  Any other exponent obeys the
+    finite-number rule of ``p_norm``; p = math.inf is accepted here
     (and only here) as the 1/p -> 0 limit.
     """
     n = _check_int(n, "dimension", 1)
-    if not (p >= 1):
-        raise ValueError(f"exponent must satisfy p >= 1, got {p!r}")
-    inv_p = 0.0 if math.isinf(p) else 1.0 / p
+    inv_p = 0.0 if p == math.inf else 1.0 / _check_real(p, "norm exponent", 1)
     return float(n) ** abs(0.25 - inv_p)
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from lp_extremal import __version__
 from lp_extremal.bounds import bound_sweep, epsilon_threshold
-from lp_extremal.construct import build_configuration, solve_beta
+from lp_extremal.construct import build_configuration
 from lp_extremal.errors import NumericalBreakdown
 from lp_extremal.lpgeom import DEFAULT_TOL, Configuration, is_equilateral, ratio_report
 from lp_extremal.radon import (
@@ -139,11 +139,6 @@ def _cmd_construct(args):
     built = build_configuration(args.n)
     result = built.to_dict()
     diagnostics = result["diagnostics"]
-    if args.both_branches:
-        ks = [built.solution_even_part.k]
-        if built.solution_odd_part is not None:
-            ks.append(built.solution_odd_part.k)
-        diagnostics["rejected_branch_beta"] = {str(k): solve_beta(k) for k in ks}
     achieved = None
     if args.n <= ACHIEVED_RATIO_DIM_CAP:
         achieved = ratio_report(built.config).ratio
@@ -278,11 +273,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("construct", help="build the explicit n+2 point configuration")
     sp.add_argument("--n", type=int, required=True, help="dimension (>= 2)")
-    sp.add_argument(
-        "--both-branches",
-        action="store_true",
-        help="also report the rejected y < 0 branch root",
-    )
     add_common(sp, _cmd_construct)
 
     sp = sub.add_parser("certify", help="Radon partition certificate for a configuration file")

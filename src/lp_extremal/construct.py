@@ -12,8 +12,6 @@ whose distance ratio is 1 + sqrt(2/n) + O(n^{-3/4}).  The solver works
 through f(t) = (((1+t)^4 + (k-1)t^4)/k)^{1/4}: with alpha_k the unique
 negative solution of f(t) = (2/k)^{1/4}, the branch with y > 0 is
 x_k = the unique root of f(t) - t = -alpha_k and y_k = x_k - alpha_k.
-The mirror branch (y < 0, through the positive solution beta_k) is
-detected for diagnostics but never used.
 """
 
 import math
@@ -28,7 +26,6 @@ from lp_extremal.lpgeom import Configuration, _check_int
 __all__ = [
     "f_eval",
     "solve_alpha",
-    "solve_beta",
     "solve_system",
     "ConstructionSolution",
     "BuiltConfiguration",
@@ -102,8 +99,13 @@ def _bisect_newton(poly, dpoly, lo, hi, label, diagnostics):
     return root
 
 
-def _root_of_f_equals(k: int, lo: float, hi: float, label: str):
-    """Root of (1+t)^4 + (k-1) t^4 - 2, i.e. of f(t) = (2/k)^{1/4}, on [lo, hi]."""
+def solve_alpha(k) -> float:
+    """Unique negative solution of f(t) = (2/k)^{1/4}.
+
+    The root of (1+t)^4 + (k-1) t^4 - 2 below -k^{-1/4}; at k = 1 it is
+    exactly -1 - 2^{1/4}.
+    """
+    k = _check_int(k, "k", 1)
 
     def poly(t):
         return math.fsum([(1.0 + t) ** 4, (k - 1.0) * t ** 4, -2.0])
@@ -111,38 +113,14 @@ def _root_of_f_equals(k: int, lo: float, hi: float, label: str):
     def dpoly(t):
         return 4.0 * (1.0 + t) ** 3 + 4.0 * (k - 1.0) * t ** 3
 
-    return _bisect_newton(poly, dpoly, lo, hi, label, {"k": k})
-
-
-def solve_alpha(k) -> float:
-    """Unique negative solution of f(t) = (2/k)^{1/4}.
-
-    Lies strictly below -k^{-1/4}; at k = 1 it is exactly -1 - 2^{1/4}.
-    """
-    k = _check_int(k, "k", 1)
-    alpha = _root_of_f_equals(k, -1.0 - 2.0 ** 0.25, -float(k) ** -0.25, "alpha")
-    if not alpha < -float(k) ** -0.25:
+    hi = -float(k) ** -0.25
+    alpha = _bisect_newton(poly, dpoly, -1.0 - 2.0 ** 0.25, hi, "alpha", {"k": k})
+    if not alpha < hi:
         raise NumericalBreakdown(
             "negative branch root failed its bracket constraint",
             diagnostics={"k": k, "alpha": alpha},
         )
     return alpha
-
-
-def solve_beta(k) -> float:
-    """Unique positive solution of f(t) = (2/k)^{1/4}.
-
-    This is the gateway to the rejected y < 0 solution branch; exposed
-    only as a diagnostic, the construction never uses it.
-    """
-    k = _check_int(k, "k", 1)
-    beta = _root_of_f_equals(k, 0.0, 1.0, "beta")
-    if not 0.0 < beta < float(k) ** -0.25:
-        raise NumericalBreakdown(
-            "positive branch root failed its bracket constraint",
-            diagnostics={"k": k, "beta": beta},
-        )
-    return beta
 
 
 @dataclass(frozen=True)

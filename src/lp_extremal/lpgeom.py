@@ -50,10 +50,11 @@ def _check_int(value, name: str, minimum: int) -> int:
 def _check_real(value, name: str, minimum: int) -> float:
     """``value`` as a float, required finite and >= ``minimum``.
 
-    Bools are rejected as in :func:`_check_int`, so True is not a 1.0.
+    Bools and strings are rejected as in :func:`_check_int`, so neither
+    True nor "4" is a number.
     """
     try:
-        if isinstance(value, (bool, np.bool_)):
+        if isinstance(value, (bool, np.bool_, str, bytes)):
             raise TypeError
         x = float(value)
     except (TypeError, ValueError):
@@ -150,21 +151,9 @@ class Configuration:
         """Number of points m."""
         return self.points.shape[0]
 
-    @property
-    def dimension(self) -> int:
-        """Ambient dimension n."""
-        return self.points.shape[1]
-
     def to_dict(self) -> dict:
         """Wire format: ``{"p": 4.0, "points": [[...], ...]}``."""
         return {"p": self.p, "points": self.points.tolist()}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Configuration":
-        try:
-            return cls(points=np.asarray(data["points"], dtype=float), p=data["p"])
-        except KeyError as exc:
-            raise ValueError(f"configuration object is missing field {exc}") from exc
 
 
 @dataclass(frozen=True)

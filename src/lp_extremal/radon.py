@@ -140,14 +140,6 @@ class RadonCertificate:
             if abs(math.fsum(w.tolist()) - 1.0) > 1e-12:
                 raise ValueError("convex weights must sum to 1")
 
-    @property
-    def k(self) -> int:
-        return len(self.side_a)
-
-    @property
-    def l(self) -> int:
-        return len(self.side_b)
-
     def to_dict(self) -> dict:
         return {
             "side_a": list(self.side_a),
@@ -158,21 +150,6 @@ class RadonCertificate:
             "certificate": self.certificate,
             "residual": self.residual,
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RadonCertificate":
-        try:
-            return cls(
-                side_a=tuple(data["side_a"]),
-                side_b=tuple(data["side_b"]),
-                alphas=np.array(data["alphas"], dtype=float),
-                betas=np.array(data["betas"], dtype=float),
-                common_point=np.array(data["common_point"], dtype=float),
-                certificate=float(data["certificate"]),
-                residual=float(data["residual"]),
-            )
-        except KeyError as exc:
-            raise ValueError(f"certificate dict missing field {exc.args[0]!r}") from None
 
 
 def radon_partition(points, tol: float = WEIGHT_RESIDUAL_TOL) -> RadonCertificate:

@@ -42,7 +42,8 @@ class SearchResult:
     best_ratio is ratio_report(best_config).ratio verbatim, so
     re-evaluating reproduces it exactly; gap = best_ratio - bound
     can approach 0 but a negative value beyond rounding would mean an
-    evaluation bug, not a disproof.
+    evaluation bug, not a disproof.  restarts counts the restarts that
+    ran, i.e. those the budget gave at least one evaluation.
     """
 
     best_config: Configuration
@@ -202,7 +203,7 @@ def minimize_ratio(n, budget, seeds="auto", rng_seed=0) -> SearchResult:
         best_ratio=best_ratio,
         bound=bound,
         gap=best_ratio - bound,
-        restarts=restarts,
+        restarts=len(outcomes),
         evaluations=sum(allocs),
         rng_seed=rng_seed,
     )

@@ -121,6 +121,12 @@ class TestNormEquivalenceFactor:
         with pytest.raises(ValueError):
             norm_equivalence_factor(4, 0.5)
 
+    def test_exponent_follows_the_norm_exponent_rule(self):
+        # one named ValueError for a bool, a string or a non-finite value other than +inf
+        for p in (True, np.True_, "4", "inf", None, math.nan, -math.inf):
+            with pytest.raises(ValueError, match="norm exponent must be a finite number >= 1"):
+                norm_equivalence_factor(3, p)
+
     def test_two_sided_inequality_fuzz(self):
         rng = np.random.default_rng(42)
         for _ in range(300):

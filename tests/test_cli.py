@@ -1,10 +1,12 @@
 """Command-line interface: manifests, round-trips, exit codes."""
 
+import argparse
 import contextlib
 import io
 import json
 import math
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -23,7 +25,7 @@ from lp_extremal import (
     ratio_report,
     schuette_bound,
 )
-from lp_extremal.cli import main
+from lp_extremal.cli import _build_parser, main
 
 
 def run(capsys, *argv):
@@ -151,18 +153,6 @@ class TestConstructPipeline:
         diag = body["result"]["diagnostics"]
         assert diag["ratio_agreement"] <= 1e-9
         assert diag["solution_odd_part"] is not None
-
-    def test_both_branches_reports_rejected_root(self, capsys):
-        code, body = run_json(capsys, "construct", "--n", "4", "--json", "--both-branches")
-        assert code == 0
-        betas = body["result"]["diagnostics"]["rejected_branch_beta"]
-        assert set(betas) == {"2"}
-        assert 0.0 < betas["2"] < 2.0 ** -0.25
-
-    def test_both_branches_on_odd_n_reports_both_parts(self, capsys):
-        code, body = run_json(capsys, "construct", "--n", "5", "--json", "--both-branches")
-        assert code == 0
-        assert set(body["result"]["diagnostics"]["rejected_branch_beta"]) == {"2", "3"}
 
     def test_construct_result_is_the_built_layout(self, capsys, monkeypatch):
         # above the cap the O(m^2 n) cross-check is skipped and reported as null
@@ -379,6 +369,13 @@ class TestErrors:
         assert body["error"]["type"] == "NumericalBreakdown"
         assert "diagnostics" in body["error"]
 
+    def test_string_exponent_is_exit_1(self, capsys, tmp_path):
+        cfg = write_config(tmp_path / "sq.json", UNIT_SQUARE, p="4")
+        code, body = run_json(capsys, "certify", cfg)
+        assert code == 1
+        assert body["error"]["type"] == "ValueError"
+        assert "norm exponent must be a finite number" in body["error"]["message"]
+
     def test_bad_dimension_is_exit_1(self, capsys):
         code, body = run_json(capsys, "construct", "--n", "1")
         assert code == 1
@@ -505,10 +502,15 @@ class TestErrors:
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
+def readme_command_line_section():
+    """The README's "## Command line" section, up to the next heading."""
+    section = README.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    return section.split("\n## ", 1)[0]
+
+
 def readme_commands():
     """(argv, comment) of each `lp-extremal` line in the README's Command line block."""
-    section = README.read_text(encoding="utf-8").split("## Command line", 1)[1]
-    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    block = readme_command_line_section().split("```sh\n", 1)[1].split("```", 1)[0]
     commands = []
     for line in block.splitlines():
         command, _, comment = line.partition("#")
@@ -528,6 +530,18 @@ class TestReadme:
             assert code == 0, (argv, out)
             if i == 0:
                 assert out == comment + "\n"
+
+    def test_documented_flags_are_the_parser_flags(self):
+        documented = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", readme_command_line_section()))
+        sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        parsed = {
+            flag
+            for command in sub.choices.values()
+            for action in command._actions
+            for flag in action.option_strings
+            if flag.startswith("--")
+        }
+        assert documented == parsed - {"--help"}
 
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"

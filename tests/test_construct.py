@@ -12,7 +12,6 @@ from lp_extremal.construct import (
     build_configuration,
     f_eval,
     solve_alpha,
-    solve_beta,
     solve_system,
 )
 from lp_extremal.lpgeom import Configuration, distance, is_equilateral, ratio_report
@@ -21,7 +20,6 @@ from lp_extremal.lpgeom import Configuration, distance, is_equilateral, ratio_re
 ALPHA_1 = -2.1892071150027210667  # -1 - 2^{1/4}
 X_1 = -1.5946035575013605334  # -1 - 8^{-1/4}
 Y_1 = 0.59460355750136053336  # 8^{-1/4}
-BETA_1 = 0.18920711500272106671  # 2^{1/4} - 1
 F_M1_K2 = 0.84089641525371454303  # (1/2)^{1/4}
 RATIO_N2 = 1.6817928305074290861  # 2^{3/4}
 
@@ -113,13 +111,6 @@ class TestSolveAlpha:
             alpha = solve_alpha(k)
             assert abs(f_eval(alpha, k) - (2.0 / k) ** 0.25) < 1e-12
             assert alpha < -float(k) ** -0.25
-
-    def test_beta_side(self):
-        assert solve_beta(1) == pytest.approx(BETA_1, abs=1e-12)
-        for k in K_GRID:
-            beta = solve_beta(k)
-            assert 0.0 < beta < float(k) ** -0.25
-            assert abs(f_eval(beta, k) - (2.0 / k) ** 0.25) < 1e-12
 
 
 class TestSolveSystem:
@@ -256,8 +247,7 @@ class TestBuildConfiguration:
             build_configuration(2.5)
 
     def test_bool_is_not_an_integer(self):
-        for call in (build_configuration, solve_system, solve_alpha, solve_beta,
-                     lambda k: f_eval(0.0, k)):
+        for call in (build_configuration, solve_system, solve_alpha, lambda k: f_eval(0.0, k)):
             with pytest.raises(ValueError, match="must be an integer, got True"):
                 call(True)
 

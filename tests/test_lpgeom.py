@@ -53,10 +53,9 @@ class TestPNorm:
 
     def test_rejects_bad_exponent(self):
         # one named ValueError, never a TypeError or a conversion message
-        for p in (0.5, math.inf, math.nan, None, "x", [4], np.array([4.0]), True, np.True_):
-            for call in (lambda: p_norm([1.0], p),
-                         lambda: Configuration(UNIT_SQUARE, p),
-                         lambda: Configuration.from_dict({"points": UNIT_SQUARE, "p": p})):
+        for p in (0.5, math.inf, math.nan, None, "x", "4", b"4", [4], np.array([4.0]), True,
+                  np.True_):
+            for call in (lambda: p_norm([1.0], p), lambda: Configuration(UNIT_SQUARE, p)):
                 with pytest.raises(ValueError, match="norm exponent must be a finite number >= 1"):
                     call()
 
@@ -273,16 +272,6 @@ class TestConfiguration:
             cfg.points[0, 0] = 1.0
         pts[0, 0] = 99.0  # mutating the source must not leak in
         assert cfg.points[0, 0] == 0.0
-
-    def test_dict_round_trip(self):
-        cfg = Configuration(UNIT_SQUARE, 4.0)
-        again = Configuration.from_dict(cfg.to_dict())
-        assert np.array_equal(again.points, cfg.points)
-        assert again.p == cfg.p
-
-    def test_from_dict_missing_field(self):
-        with pytest.raises(ValueError, match="missing"):
-            Configuration.from_dict({"points": [[0.0], [1.0]]})
 
 
 def reference_row_scan(pts, p):

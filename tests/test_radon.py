@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -52,7 +53,7 @@ class TestRadonPartition:
         # rank-deficient system: one dependence coefficient is exactly 0
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
         cert = radon_partition(pts)
-        assert cert.k + cert.l == 4
+        assert len(cert.side_a) + len(cert.side_b) == 4
         assert math.fsum(cert.alphas.tolist()) == pytest.approx(1.0, abs=1e-12)
         assert math.fsum(cert.betas.tolist()) == pytest.approx(1.0, abs=1e-12)
         assert np.all(cert.alphas >= 0) and np.all(cert.betas >= 0)
@@ -119,7 +120,9 @@ class TestRadonPartition:
         np.testing.assert_allclose(cert.common_point, [1.55e308, 5e306], rtol=1e-15)
         assert cert.residual <= 1e-10 * 1.6e308
 
-    @pytest.mark.parametrize("tol", [-1.0, math.nan, math.inf, -math.inf, None, "x", True, np.True_])
+    @pytest.mark.parametrize(
+        "tol", [-1.0, math.nan, math.inf, -math.inf, None, "x", True, np.True_, "1e-9"]
+    )
     def test_invalid_tolerance_is_rejected_everywhere(self, tol):
         config = Configuration(UNIT_SQUARE, 4.0)
         cert = radon_partition(UNIT_SQUARE)
@@ -194,13 +197,6 @@ class TestCertificateBound:
                 residual=0.0,
             )
 
-    def test_dict_round_trip(self):
-        cert = radon_partition(THREE_ONE)
-        again = RadonCertificate.from_dict(cert.to_dict())
-        assert again.side_a == cert.side_a
-        np.testing.assert_array_equal(again.alphas, cert.alphas)
-        assert again.certificate == cert.certificate
-
 
 class TestAuditChain:
     def test_unit_square_equality(self):
@@ -255,7 +251,7 @@ class TestAuditChain:
         pts = rng.normal(size=(6, 4)) + 1e3
         cfg = Configuration(pts, 4.0)
         cert = radon_partition(pts)
-        blank = RadonCertificate.from_dict({**cert.to_dict(), "common_point": [0.0] * 4})
+        blank = dataclasses.replace(cert, common_point=[0.0] * 4)
         assert audit_chain(cfg, blank).to_dict() == audit_chain(cfg, cert).to_dict()
 
     def test_scaling_covariance(self):
@@ -286,7 +282,7 @@ class TestAuditChain:
         with pytest.raises(ValueError, match="need exactly n\\+2 = 4 points, got 5"):
             audit_chain(Configuration(five, 4.0), cert)
         outside = [i + 4 for i in cert.side_b]
-        shifted = RadonCertificate.from_dict({**cert.to_dict(), "side_b": outside})
+        shifted = dataclasses.replace(cert, side_b=outside)
         with pytest.raises(ValueError, match="sides do not cover"):
             audit_chain(Configuration(UNIT_SQUARE, 4.0), shifted)
 

@@ -123,6 +123,7 @@ class TestResultContract:
     def test_tiny_budget(self):
         res = minimize_ratio(2, 2, "auto", 0)
         assert res.evaluations == 2
+        assert res.restarts == 2
         assert res.best_ratio >= schuette_bound(2, 4) - 1e-9
 
 

@@ -416,3 +416,106 @@ class TestPairKernel:
             vals, _, k, _, _ = lpgeom._pair_power_scan(pts, p)
             ref = brute_force_pairs(pts, p)
             assert np.allclose(np.ldexp(vals, k), list(ref.values()), rtol=1e-12, atol=0)
+
+
+def full_scan_is_equilateral(config, tol):
+    """is_equilateral before the point-0 exit: the verdict of the full scan."""
+    sums, x, k, low, repriced = lpgeom._pair_power_scan(config.points, config.p)
+    if config.p == 4.0:
+        dists = np.sqrt(np.sqrt(sums))
+    elif config.p == 2.0:
+        dists = np.sqrt(sums)
+    else:
+        dists = sums
+    dists[low] = repriced
+    dmax = float(np.max(dists))
+    dmin = float(np.min(dists))
+    if dmax - dmin <= tol * dmax:
+        return True, math.ldexp(math.fsum(dists.tolist()) / len(dists), k)
+    return False, None
+
+
+def outcome(call, *args):
+    """The call's result, or the message of the ValueError it raised."""
+    try:
+        return call(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+def blocked_scan_set(seed, m=60, n=40):
+    """m random points in R^n, enough pairs for the blocked pair scan."""
+    assert not lpgeom._gathered_in_one_step(m, n)
+    return np.random.default_rng(seed).uniform(-1.0, 1.0, size=(m, n))
+
+
+class TestPointZeroExit:
+    def test_spread_from_point_zero_skips_the_full_scan(self, monkeypatch):
+        pts = blocked_scan_set(0)
+
+        def full_scan(*args):
+            raise AssertionError("the full pair scan ran")
+
+        monkeypatch.setattr(lpgeom, "_pair_power_scan", full_scan)
+        for p in (2.0, 3.0, 4.0):
+            assert is_equilateral(Configuration(pts, p)) == (False, None)
+
+    @pytest.mark.parametrize("p", [2.0, 3.0, 4.0])
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_duplicate_away_from_point_zero_is_still_named(self, p, zero):
+        pts = blocked_scan_set(1)
+        pts[2, 5] = 0.0
+        pts[4] = pts[2]
+        pts[4, 5] = zero  # -0.0 == 0.0, as np.array_equal has it
+        with pytest.raises(ValueError, match=r"duplicate points at indices \(2, 4\)"):
+            is_equilateral(Configuration(pts, p))
+
+    @pytest.mark.parametrize("p", [2.0, 3.0, 4.0])
+    def test_row_sums_are_the_full_scans_bits(self, monkeypatch, p):
+        for pts in (blocked_scan_set(2), kernel_inputs(7)["perturbed"]):
+            x, _ = lpgeom._power_of_two_scaled(pts)
+            row = lpgeom._powered_sums(x[1:] - x[0], p)
+            for budget in (lpgeom.PAIR_BLOCK_ELEMENTS, 0):
+                monkeypatch.setattr(lpgeom, "PAIR_BLOCK_ELEMENTS", budget)
+                assert row.tobytes() == lpgeom._pair_sums(x, p)[: len(row)].tobytes()
+            monkeypatch.undo()
+
+    @given(
+        kind=st.sampled_from(["simplex", "random", "underflow", "tiny", "integer"]),
+        p=st.sampled_from([2.0, 3.0, 4.0]),
+        tol=st.sampled_from([0.0, 1e-9, 0.3, 1.0, 2.0]),
+        m=st.integers(2, 12),
+        shake=st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0, 1.1, 2.0, 2.1, 4.0]),
+        seed=st.integers(0, 10_000),
+        offset=st.integers(0, 51),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_verdict_matches_the_full_scan(self, kind, p, tol, m, shake, seed, offset):
+        # a zero budget sends every set, however small, down the exit's path
+        rng = np.random.default_rng(seed)
+        if kind == "simplex":
+            # the basis vectors are equilateral for every p; shake them by
+            # about tol times the side, around the exit's margin
+            noise = rng.uniform(-1.0, 1.0, size=(m, m))
+            pts = np.eye(m) + shake * max(tol, 1e-9) * noise
+        elif kind == "tiny":
+            # the same next to a unit coordinate, so small that every power
+            # sum is subnormal and only the repriced distances are accurate
+            noise = rng.uniform(-1.0, 1.0, size=(m, m))
+            side = 2.5e-81 if p == 4.0 else 3e-162  # about one subnormal unit
+            tiny = side * (np.eye(m) + shake * max(tol, 1e-9) * noise)
+            pts = np.hstack([np.ones((m, 1)), tiny])
+        elif kind == "random":
+            pts = rng.uniform(-1.0, 1.0, size=(m, 3))
+        elif kind == "underflow":
+            pts = rng.uniform(-1.0, 1.0, size=(m, 3))
+            pts[0, 0] = 0.0
+            pts[1] = pts[0]
+            pts[1, 0] = 1e-100  # the sum from point 0 to point 1 underflows
+        else:
+            pts = rng.integers(-3, 4, size=(m, 2)) + np.ldexp(1.0, offset)
+        config = Configuration(pts, p)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lpgeom, "PAIR_BLOCK_ELEMENTS", 0)
+            assert outcome(is_equilateral, config, tol) == outcome(
+                full_scan_is_equilateral, config, tol)

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -13,10 +14,12 @@ from hypothesis import strategies as st
 import lp_extremal
 from lp_extremal.bounds import schuette_bound
 from lp_extremal.errors import NumericalBreakdown
-from lp_extremal.lpgeom import Configuration, is_equilateral, ratio_report
+from lp_extremal.lpgeom import Configuration, _power_of_two_scaled, is_equilateral, ratio_report
 from lp_extremal.radon import (
+    RADON_PANEL,
     ChainAudit,
     RadonCertificate,
+    _null_vector,
     audit_chain,
     certificate_bound,
     radon_partition,
@@ -63,6 +66,19 @@ class TestRadonPartition:
         assert cert.betas[cert.side_b.index(2)] == 0.0
         assert not np.signbit(cert.betas).any()
         assert cert.certificate == pytest.approx(4.5, rel=1e-14)
+
+    def test_certificate_carries_the_condition_of_its_solve(self):
+        pts = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
+        cert = radon_partition(pts)
+        # 4 collinear points in R^2: the ones row and the x row, 3 = 0.75 * 2^2
+        assert cert.condition["rank"] == 2
+        assert 0.0 < cert.condition["min_pivot"] <= 1.0
+        assert cert.condition["scale_exponent"] == 2
+        # diagnostics only: no payload field, no part of equality
+        assert "condition" not in cert.to_dict()
+        fields = {f.name: f for f in dataclasses.fields(RadonCertificate)}
+        assert fields["condition"].compare is False
+        assert RadonCertificate(**{**cert.__dict__, "condition": None}).to_dict() == cert.to_dict()
 
     def test_wrong_count_rejected(self):
         with pytest.raises(ValueError, match="n\\+2"):
@@ -371,6 +387,117 @@ class TestCrossModuleSoundness:
         assert math.isfinite(cert.certificate)
         scale = max(1.0, float(np.max(np.abs(pts))))
         assert cert.residual <= 1e-10 * scale
+
+
+def rank_one_null_vector(x):
+    """The elimination before panels: one rank-1 update of the whole trailing
+    block per pivot, kept as the bit-for-bit reference for one-panel systems."""
+    m, n = x.shape
+    x = x - x.mean(axis=0)
+    a = np.empty((n + 1, m))
+    a[0] = 1.0
+    a[1:] = x.T
+    n_rows = n + 1
+    tiny = 1e-13 * float(np.max(np.abs(x)))
+    pivot_cols = []
+    row = 0
+    for col in range(m):
+        if row == n_rows:
+            break
+        best = row + int(np.argmax(np.abs(a[row:, col])))
+        pivot = a[best, col]
+        if abs(pivot) <= tiny:
+            continue
+        if best != row:
+            a[[row, best]] = a[[best, row]]
+        a[row + 1:, col:] -= np.outer(a[row + 1:, col] / pivot, a[row, col:])
+        pivot_cols.append(col)
+        row += 1
+    free = max(set(range(m)).difference(pivot_cols))
+    lam = np.zeros(m)
+    lam[free] = 1.0
+    for r in range(len(pivot_cols) - 1, -1, -1):
+        c = pivot_cols[r]
+        lam[c] = -float(np.sum(a[r, c + 1:] * lam[c + 1:])) / a[r, c]
+    condition = {
+        "rank": len(pivot_cols),
+        "min_pivot": float(np.min(np.abs(a[range(len(pivot_cols)), pivot_cols]))),
+    }
+    return lam, condition
+
+
+def exact_null_vector(pts):
+    """(lambda, rank) of the integer points ``pts`` in exact arithmetic.
+
+    Fraction-free (Bareiss) elimination with the same column order and
+    free-column rule as the float solve: the last non-pivot column is 1 and
+    the other free columns 0.
+    """
+    m, n = pts.shape
+    a = [[1] * m] + [[int(v) for v in pts[:, d]] for d in range(n)]
+    pivots, prev, r = [], 1, 0
+    for c in range(m):
+        p = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if p is None:
+            continue
+        a[r], a[p] = a[p], a[r]
+        for i in range(r + 1, len(a)):
+            a[i] = [(a[i][j] * a[r][c] - a[i][c] * a[r][j]) // prev for j in range(m)]
+        prev = a[r][c]
+        pivots.append(c)
+        r += 1
+    free = max(set(range(m)) - set(pivots))
+    lam = [Fraction(0)] * m
+    lam[free] = Fraction(1)
+    for i in range(len(pivots) - 1, -1, -1):
+        c = pivots[i]
+        lam[c] = -sum(a[i][j] * lam[j] for j in range(c + 1, m)) / a[i][c]
+    return np.array([float(v) for v in lam]), len(pivots)
+
+
+def one_panel_inputs(m, seed):
+    """A generic, an integer and a rank-deficient set of m points in R^(m-2)."""
+    rng = np.random.default_rng(seed)
+    flat = rng.integers(-4, 5, size=(m, m - 2)).astype(float)
+    flat[:, -1] = flat[:, 0] - flat[:, 1] if m > 3 else 0.0
+    return {
+        "uniform": rng.uniform(-1.0, 1.0, size=(m, m - 2)),
+        "integer": rng.integers(-5, 6, size=(m, m - 2)).astype(float),
+        "flat": flat,
+    }
+
+
+class TestBlockedElimination:
+    def test_one_panel_keeps_the_rank_one_bits(self):
+        for m in range(3, RADON_PANEL + 1):
+            for kind, pts in one_panel_inputs(m, seed=m).items():
+                x, _ = _power_of_two_scaled(pts)
+                lam, cond = _null_vector(x)
+                ref_lam, ref_cond = rank_one_null_vector(x)
+                assert lam.tobytes() == ref_lam.tobytes(), (m, kind)
+                assert cond["rank"] == ref_cond["rank"], (m, kind)
+                assert cond["min_pivot"].hex() == ref_cond["min_pivot"].hex(), (m, kind)
+
+    @pytest.mark.parametrize("m", [RADON_PANEL + 1, 2 * RADON_PANEL + 3, 100])
+    def test_blocked_solve_matches_the_exact_null_vector(self, m):
+        pts = np.random.default_rng(m).integers(-6, 7, size=(m, m - 2)).astype(float)
+        lam, cond = _null_vector(_power_of_two_scaled(pts)[0])
+        exact, rank = exact_null_vector(pts)
+        assert cond["rank"] == rank == m - 1
+        assert np.max(np.abs(lam - exact)) <= 1e-13 * np.max(np.abs(exact))
+        # the smallest accepted pivot means what it means in one panel
+        ref_cond = rank_one_null_vector(_power_of_two_scaled(pts)[0])[1]
+        assert cond["min_pivot"] == pytest.approx(ref_cond["min_pivot"], rel=1e-9)
+
+    def test_free_column_inside_a_panel_keeps_the_exact_rank(self):
+        m = 2 * RADON_PANEL + 3
+        pts = 2.0 * np.random.default_rng(1).integers(-3, 4, size=(m, m - 2))
+        pts[10] = 0.5 * (pts[3] + pts[7])  # column 10 depends on columns 3 and 7
+        pts[:, -1] = pts[:, 0] + pts[:, 1]  # the set spans one dimension less
+        lam, cond = _null_vector(_power_of_two_scaled(pts)[0])
+        exact, rank = exact_null_vector(pts)
+        assert cond["rank"] == rank == m - 2
+        assert np.max(np.abs(lam - exact)) <= 1e-13 * np.max(np.abs(exact))
 
 
 class TestScaleAndThreads:

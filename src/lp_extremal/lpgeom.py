@@ -176,23 +176,24 @@ class RatioReport:
         }
 
 
-#: Largest number of float64 elements in the pair kernel's difference buffer.
+#: Largest number of float64 elements in one chunk of pair differences.
 PAIR_BLOCK_ELEMENTS = 1 << 16
 
 
 @functools.lru_cache(maxsize=16)
 def _pair_index(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only row and column indices of the pairs i < j, in row-major order."""
+    """Read-only row and column indices of the pairs i < j, in row-major order.
+
+    Only sets whose pairs fit in one chunk of :func:`_pair_sums` come here,
+    as the search prices such sets thousands of times.  A larger set builds
+    its indices on each call (0.9 ms at m = 386, under 2 % of its scan): at 16
+    bytes a pair, a cached entry would pin 1.2 MB at m = 386 for as long as
+    the module lives, and 8.4 MB at m = 1026.
+    """
     i, j = np.triu_indices(m, 1)
     i.flags.writeable = False
     j.flags.writeable = False
     return i, j
-
-
-def _gathered_in_one_step(m: int, n: int) -> bool:
-    """Whether :func:`_pair_sums` takes all pair differences of m points in
-    R^n in one gather rather than in row blocks."""
-    return m * (m - 1) // 2 * n <= PAIR_BLOCK_ELEMENTS
 
 
 def _sum_floor(n: int) -> float:
@@ -225,37 +226,26 @@ def _pair_sums(x: np.ndarray, p: float) -> np.ndarray:
     factored out before powering as in :func:`p_norm`, so a large p cannot
     underflow every term to 0.
 
-    A set whose m(m-1)/2 x n pair differences fit in ``PAIR_BLOCK_ELEMENTS``
-    values gathers them in one step through cached pair indices.  At the
-    sizes ``search`` evaluates thousands of times that takes fewer numpy
-    calls than the blocked path, which needs a buffer and a mask to select
-    the pairs i < j: 11-14 us against 21 us per call at m = 10, n = 8 (one
-    2-vCPU x86 VM).  Larger sets take the rows in blocks whose difference
-    buffer holds at most ``PAIR_BLOCK_ELEMENTS`` values (a row or a few at
-    n in the hundreds); the buffer is reused across blocks and powered in
-    place.  Each pair is reduced by the same contiguous last-axis ``sum`` on
-    either path, so the sums do not depend on the path or the blocking, and
-    no BLAS routine is involved.
+    The pair differences x[j] - x[i] are gathered in chunks of at most
+    ``PAIR_BLOCK_ELEMENTS`` values, and at least one pair.  A set
+    whose pairs fit in one chunk returns its sums at once.  Each pair is
+    reduced by one contiguous last-axis ``sum`` whatever the chunking, so
+    the chunk size does not change a bit, and no BLAS routine is involved.
     """
     m, n = x.shape
-    if _gathered_in_one_step(m, n):
+    count = m * (m - 1) // 2
+    step = max(1, PAIR_BLOCK_ELEMENTS // n)
+    if count <= step:
         i, j = _pair_index(m)
         return _powered_sums(x[j] - x[i], p)
-    out = np.empty(m * (m - 1) // 2)
-    buf = np.empty(max(PAIR_BLOCK_ELEMENTS, (m - 1) * n))
-    pos = 0
-    a = 0
-    while a < m - 1:
-        width = m - 1 - a
-        rows = min(width, max(1, PAIR_BLOCK_ELEMENTS // (width * n)))
-        d = buf[: rows * width * n].reshape(rows, width, n)
-        np.subtract(x[None, a + 1:], x[a:a + rows, None], out=d)
-        s = _powered_sums(d, p)
-        # row r of the block holds the pairs (a + r, a + 1 + c); keep c >= r
-        vals = s.ravel() if rows == 1 else s[np.arange(width) >= np.arange(rows)[:, None]]
-        out[pos:pos + vals.size] = vals
-        pos += vals.size
-        a += rows
+    i, j = np.triu_indices(m, 1)
+    out = np.empty(count)
+    for a in range(0, count, step):
+        b = a + step
+        # subtracting in place saves a chunk-sized temporary: about 10 % at n = 384
+        d = x[j[a:b]]
+        d -= x[i[a:b]]
+        out[a:b] = _powered_sums(d, p)
     return out
 
 
@@ -397,17 +387,13 @@ def is_equilateral(config: Configuration, tol: float = DEFAULT_TOL) -> tuple[boo
     the pairwise distances, and ``lam`` is the mean pairwise distance when the
     flag is true (None otherwise).
 
-    A set large enough for the blocked pair scan first looks at the distances
-    from point 0, and returns ``(False, None)`` when their spread alone
-    settles the verdict (:func:`_unequal_from_point_zero`); any other set,
-    and every set with exactly equal points, goes through the full scan.  A
-    set small enough for the one-step gather skips that look, which costs
-    about as much as its whole scan (20 against 24 us at m = 6, n = 4 on
-    one 2-vCPU x86 VM).
+    The distances from point 0 are looked at first, and ``(False, None)``
+    is returned when their spread alone settles the verdict
+    (:func:`_unequal_from_point_zero`); any other set, and every set with
+    exactly equal points, goes through the full scan.
     """
     tol = _check_real(tol, "tol", 0)
-    m, n = config.points.shape
-    if not _gathered_in_one_step(m, n) and _unequal_from_point_zero(config.points, config.p, tol):
+    if _unequal_from_point_zero(config.points, config.p, tol):
         return False, None
     sums, x, k, low, repriced = _pair_power_scan(config.points, config.p)
     # distances in units of 2^k: the verdict is scale-free, only lam is mapped back

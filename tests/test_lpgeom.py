@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lp_extremal import build_configuration, lpgeom
+from lp_extremal import audit_chain, build_configuration, lpgeom, radon_partition
 from lp_extremal.lpgeom import (
     Configuration,
     distance,
@@ -301,8 +301,10 @@ def kernel_inputs(n, seed=0):
 
 class TestPairKernel:
     @pytest.mark.parametrize("p", [2.0, 4.0])
-    @pytest.mark.parametrize("n", [2, 7, 40])
+    @pytest.mark.parametrize("n", [2, 7, 40, 64])
     def test_sums_match_the_row_scan_bit_for_bit(self, p, n):
+        # n = 64 has 2,145 pairs x 64 > PAIR_BLOCK_ELEMENTS differences, so
+        # the default budget already gathers it in several chunks
         for pts in kernel_inputs(n).values():
             ref, k = reference_row_scan(pts, p)
             sums, x, k_scan, _, _ = lpgeom._pair_power_scan(pts, p)
@@ -313,14 +315,18 @@ class TestPairKernel:
     @pytest.mark.parametrize("p", [2.0, 4.0])
     @pytest.mark.parametrize("offset", [-1, 0, 1])
     def test_blocking_does_not_change_the_sums(self, monkeypatch, p, offset):
-        # budget just below, at and just above the gathered m(m-1)/2 x n
-        # pair differences and one m x m x n block, then small enough that
-        # the rows split into blocks of several sizes
+        # budgets for the 14 points' 91 pairs: just below, at and just above
+        # all pair differences, and far above them; 3(m-1) pairs a chunk, or
+        # one less; 4 or 5 pairs a chunk, which end mid-row and leave a last
+        # chunk of 3 or 1 pairs; all pairs but one or two in the first
+        # chunk; one pair a chunk
         for kind, pts in kernel_inputs(12, seed=3).items():
             m, n = pts.shape
+            count = m * (m - 1) // 2
             ref, _ = reference_row_scan(pts, p)
-            for budget in (m * (m - 1) // 2 * n + offset, (m - 1) * (m - 1) * n + offset,
-                           3 * n * (m - 1) + offset, 50):
+            for budget in (count * n + offset, (m - 1) * (m - 1) * n + offset,
+                           3 * n * (m - 1) + offset, 50, 5 * n + offset,
+                           (count - 1) * n + offset, n + offset):
                 monkeypatch.setattr(lpgeom, "PAIR_BLOCK_ELEMENTS", budget)
                 sums = lpgeom._pair_power_scan(pts, p)[0]
                 assert np.array_equal(sums, ref), (kind, budget)
@@ -328,10 +334,26 @@ class TestPairKernel:
     @pytest.mark.parametrize("p", [1.5, 3.0, 2000.0])
     def test_general_p_does_not_depend_on_the_path(self, monkeypatch, p):
         for kind, pts in kernel_inputs(12, seed=4).items():
-            gathered = lpgeom._pair_sums(pts, p)
+            one_chunk = lpgeom._pair_sums(pts, p)
             monkeypatch.setattr(lpgeom, "PAIR_BLOCK_ELEMENTS", 50)
-            assert np.array_equal(lpgeom._pair_sums(pts, p), gathered), kind
+            assert np.array_equal(lpgeom._pair_sums(pts, p), one_chunk), kind
             monkeypatch.undo()
+
+    def test_only_one_chunk_sets_cache_their_pair_indices(self):
+        # several chunks: the construction at n = 64 (2,145 pairs) for the
+        # ratio and the audit, and 66 basis vectors, which are equilateral,
+        # so is_equilateral runs the full scan
+        config = build_configuration(64).config
+        assert config.size * (config.size - 1) // 2 > lpgeom.PAIR_BLOCK_ELEMENTS // 64
+        cert = radon_partition(config.points)
+        simplex = Configuration(np.eye(66), 4.0)
+        lpgeom._pair_index.cache_clear()
+        ratio_report(config)
+        assert is_equilateral(simplex)[0]
+        audit_chain(config, cert)
+        assert lpgeom._pair_index.cache_info().currsize == 0
+        ratio_report(Configuration(UNIT_SQUARE, 4.0))
+        assert lpgeom._pair_index.cache_info().currsize == 1
 
     def test_row_major_positions_decode(self):
         m = 7
@@ -444,21 +466,24 @@ def outcome(call, *args):
 
 
 def blocked_scan_set(seed, m=60, n=40):
-    """m random points in R^n, enough pairs for the blocked pair scan."""
-    assert not lpgeom._gathered_in_one_step(m, n)
+    """m random points in R^n, enough pairs for several chunks of the pair scan."""
+    assert m * (m - 1) // 2 > lpgeom.PAIR_BLOCK_ELEMENTS // n
     return np.random.default_rng(seed).uniform(-1.0, 1.0, size=(m, n))
 
 
 class TestPointZeroExit:
     def test_spread_from_point_zero_skips_the_full_scan(self, monkeypatch):
-        pts = blocked_scan_set(0)
+        rng = np.random.default_rng(0)
+        sets = [blocked_scan_set(0), rng.uniform(-1.0, 1.0, size=(4, 2)),
+                rng.uniform(-1.0, 1.0, size=(10, 8))]
 
         def full_scan(*args):
             raise AssertionError("the full pair scan ran")
 
         monkeypatch.setattr(lpgeom, "_pair_power_scan", full_scan)
-        for p in (2.0, 3.0, 4.0):
-            assert is_equilateral(Configuration(pts, p)) == (False, None)
+        for pts in sets:
+            for p in (2.0, 3.0, 4.0):
+                assert is_equilateral(Configuration(pts, p)) == (False, None), pts.shape
 
     @pytest.mark.parametrize("p", [2.0, 3.0, 4.0])
     @pytest.mark.parametrize("zero", [0.0, -0.0])
@@ -491,7 +516,8 @@ class TestPointZeroExit:
     )
     @settings(max_examples=300, deadline=None)
     def test_verdict_matches_the_full_scan(self, kind, p, tol, m, shake, seed, offset):
-        # a zero budget sends every set, however small, down the exit's path
+        # every set takes the exit's path; the full scan gathers it in one
+        # chunk at the default budget and one pair per chunk at a zero one
         rng = np.random.default_rng(seed)
         if kind == "simplex":
             # the basis vectors are equilateral for every p; shake them by
@@ -515,7 +541,9 @@ class TestPointZeroExit:
         else:
             pts = rng.integers(-3, 4, size=(m, 2)) + np.ldexp(1.0, offset)
         config = Configuration(pts, p)
+        expected = outcome(full_scan_is_equilateral, config, tol)
+        assert outcome(is_equilateral, config, tol) == expected
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(lpgeom, "PAIR_BLOCK_ELEMENTS", 0)
-            assert outcome(is_equilateral, config, tol) == outcome(
-                full_scan_is_equilateral, config, tol)
+            assert outcome(is_equilateral, config, tol) == expected
+            assert outcome(full_scan_is_equilateral, config, tol) == expected

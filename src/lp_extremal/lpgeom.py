@@ -106,8 +106,11 @@ def p_norm(v, p) -> float:
     float
         The norm; 0 exactly iff ``v`` is the zero vector.
     """
-    vals = _as_vector(v)
-    pp = _check_real(p, "norm exponent", 1)
+    return _norm(_as_vector(v), _check_real(p, "norm exponent", 1))
+
+
+def _norm(vals: list, pp: float) -> float:
+    """:func:`p_norm` of a list of finite floats, for an exponent already checked."""
     vmax = max(map(abs, vals))
     if vmax == 0.0:
         return 0.0
@@ -235,25 +238,30 @@ def _pair_sums(x: np.ndarray, p: float) -> np.ndarray:
     m, n = x.shape
     count = m * (m - 1) // 2
     step = max(1, PAIR_BLOCK_ELEMENTS // n)
+    # subtracting in place saves a chunk-sized temporary: about 10 % at n = 384;
+    # at n = 32 that 144 KiB temporary page-faulted afresh on every search step
     if count <= step:
         i, j = _pair_index(m)
-        return _powered_sums(x[j] - x[i], p)
+        d = x.take(j, axis=0)
+        d -= x.take(i, axis=0)
+        return _powered_sums(d, p)
     i, j = np.triu_indices(m, 1)
     out = np.empty(count)
     for a in range(0, count, step):
         b = a + step
-        # subtracting in place saves a chunk-sized temporary: about 10 % at n = 384
-        d = x[j[a:b]]
-        d -= x[i[a:b]]
+        d = x.take(j[a:b], axis=0)
+        d -= x.take(i[a:b], axis=0)
         out[a:b] = _powered_sums(d, p)
     return out
 
 
 def _pair_at(t: int, m: int) -> tuple[int, int]:
-    """The pair (i, j), i < j, at row-major position ``t`` among m points."""
-    rows = np.arange(m - 1)
-    i = int(np.searchsorted(rows * (2 * m - rows - 1) // 2, t, side="right")) - 1
-    return i, int(t - i * (2 * m - i - 1) // 2 + i + 1)
+    """The pair (i, j), i < j, at row-major position ``t`` among m points:
+    counted from the end, row m - 2 - r holds positions r(r + 1)/2 to
+    r(r + 1)/2 + r, which an integer square root finds exactly."""
+    u = m * (m - 1) // 2 - 1 - t
+    i = m - 2 - (math.isqrt(8 * u + 1) - 1) // 2
+    return i, t - i * (2 * m - i - 1) // 2 + i + 1
 
 
 def _power_of_two_scaled(pts: np.ndarray) -> tuple[np.ndarray, int]:
@@ -262,7 +270,7 @@ def _power_of_two_scaled(pts: np.ndarray) -> tuple[np.ndarray, int]:
     Every scaled coordinate lies in (-1, 1), and the scaling is exact in the
     normal range, so it changes no comparison between coordinates.
     """
-    k = int(np.frexp(np.max(np.abs(pts)))[1])
+    k = math.frexp(float(np.abs(pts).max()))[1]
     return np.ldexp(pts, -k), k
 
 
@@ -287,13 +295,13 @@ def _pair_power_scan(pts: np.ndarray, p: float):
     x, k = _power_of_two_scaled(pts)
     sums = _pair_sums(x, p)
     m, n = pts.shape
-    low = np.flatnonzero(sums < _sum_floor(n))
+    low = (sums < _sum_floor(n)).nonzero()[0]
     dists = np.empty(low.size)
     for r, t in enumerate(low.tolist()):
         i, j = _pair_at(t, m)
         if np.array_equal(pts[i], pts[j]):
             raise ValueError(f"duplicate points at indices {(i, j)}")
-        dists[r] = p_norm(x[j] - x[i], p)
+        dists[r] = _norm((x[j] - x[i]).tolist(), p)
     return sums, x, k, low, dists
 
 
@@ -302,7 +310,7 @@ def ratio_report(config: Configuration) -> RatioReport:
 
     Exactly coincident points make mu = 0 and are rejected with the offending
     index pair; merely close points are legal and simply produce a large ratio.
-    The two extremes are repriced through :func:`p_norm` on the rescaled
+    The two extremes are repriced as :func:`p_norm` does on the rescaled
     points and mapped back by 2^k, so coordinates near the float limit work
     as long as M itself is representable.
 
@@ -314,20 +322,20 @@ def ratio_report(config: Configuration) -> RatioReport:
     """
     m = config.size
     sums, x, k, low, dists = _pair_power_scan(config.points, config.p)
-    tmax = int(np.argmax(sums))
-    tmin = int(np.argmin(sums))
+    tmax = int(sums.argmax())
+    tmin = int(sums.argmin())
     if low.size:
         # the extremes among underflowed sums are chosen by their p_norm distances
-        tmin = int(low[np.argmin(dists)])
+        tmin = int(low[dists.argmin()])
         if low.size == sums.size:
-            tmax = int(low[np.argmax(dists)])
+            tmax = int(low[dists.argmax()])
     imax, jmax = _pair_at(tmax, m)
     imin, jmin = _pair_at(tmin, m)
     try:
-        max_dist = math.ldexp(p_norm(x[jmax] - x[imax], config.p), k)
+        max_dist = math.ldexp(_norm((x[jmax] - x[imax]).tolist(), config.p), k)
     except OverflowError:
         raise ValueError("the maximum distance exceeds the floating-point range") from None
-    min_dist = math.ldexp(p_norm(x[jmin] - x[imin], config.p), k)
+    min_dist = math.ldexp(_norm((x[jmin] - x[imin]).tolist(), config.p), k)
     return RatioReport(
         max_dist=max_dist,
         min_dist=min_dist,
@@ -373,8 +381,7 @@ def _unequal_from_point_zero(pts: np.ndarray, p: float, tol: float) -> bool:
         return False
     # equal points have bit-equal sums from point 0, so without a tie there
     # is none; rows equal under == (-0.0 and 0.0 too) sort next to each other
-    ordered = np.sort(sums)
-    if not (ordered[1:] == ordered[:-1]).any():
+    if len(set(sums.tolist())) == sums.size:
         return True
     rows = pts[np.lexsort(pts.T)]
     return not bool((rows[1:] == rows[:-1]).all(axis=1).any())
@@ -399,8 +406,8 @@ def is_equilateral(config: Configuration, tol: float = DEFAULT_TOL) -> tuple[boo
     # distances in units of 2^k: the verdict is scale-free, only lam is mapped back
     dists = _distances(sums, config.p)
     dists[low] = repriced
-    dmax = float(np.max(dists))
-    dmin = float(np.min(dists))
+    dmax = float(dists.max())
+    dmin = float(dists.min())
     if dmax - dmin <= tol * dmax:
         try:
             return True, math.ldexp(math.fsum(dists.tolist()) / len(dists), k)

@@ -68,12 +68,12 @@ def _null_vector(x: np.ndarray):
     accepted pivot.
     """
     m, n = x.shape
-    x = x - x.mean(axis=0)
+    x = x - np.add.reduce(x, axis=0) / m  # the bits of x.mean(axis=0)
     a = np.empty((n + 1, m))
     a[0] = 1.0
     a[1:] = x.T
     n_rows = n + 1
-    tiny = 1e-13 * float(np.max(np.abs(x)))
+    tiny = 1e-13 * float(np.abs(x).max())
     pivot_cols = []
     row = 0
     for start in range(0, m, RADON_PANEL):
@@ -82,15 +82,16 @@ def _null_vector(x: np.ndarray):
         for col in range(start, end):
             if row == n_rows:
                 break
-            best = row + int(np.argmax(np.abs(a[row:, col])))
-            pivot = a[best, col]
+            best = row + int(np.abs(a[row:, col]).argmax())
+            pivot = a.item(best, col)
             if abs(pivot) <= tiny:
                 continue  # free column
             if best != row:
-                a[[row, best]] = a[[best, row]]
+                a[row], a[best] = a[best], a[row].copy()
             mult = a[row + 1:, col]
             mult /= pivot
-            a[row + 1:, col + 1:end] -= mult[:, None] * a[row, col + 1:end]
+            rest = a[row + 1:, col + 1:end]
+            rest -= mult[:, None] * a[row, col + 1:end]
             pivot_cols.append(col)
             row += 1
         if end == m or row == top:
@@ -106,10 +107,10 @@ def _null_vector(x: np.ndarray):
     lam[free] = 1.0
     for r in range(len(pivot_cols) - 1, -1, -1):
         c = pivot_cols[r]
-        lam[c] = -float(np.sum(a[r, c + 1:] * lam[c + 1:])) / a[r, c]
+        lam[c] = -float(np.add.reduce(a[r, c + 1:] * lam[c + 1:])) / a.item(r, c)
     condition = {
         "rank": len(pivot_cols),
-        "min_pivot": float(np.min(np.abs(a[range(len(pivot_cols)), pivot_cols]))),
+        "min_pivot": min(abs(a.item(r, c)) for r, c in enumerate(pivot_cols)),
     }
     return lam, condition
 
@@ -160,18 +161,19 @@ class RadonCertificate:
             arr = np.array(getattr(self, name), dtype=float)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        object.__setattr__(self, "side_a", tuple(int(i) for i in self.side_a))
-        object.__setattr__(self, "side_b", tuple(int(i) for i in self.side_b))
+        object.__setattr__(self, "side_a", tuple(map(int, self.side_a)))
+        object.__setattr__(self, "side_b", tuple(map(int, self.side_b)))
         if len(self.side_a) != len(self.alphas) or len(self.side_b) != len(self.betas):
             raise ValueError("weight vectors must match their index sets")
         if len(self.side_a) < 1 or len(self.side_b) < 1:
             raise ValueError("both sides of the partition must be non-empty")
         if set(self.side_a) & set(self.side_b):
             raise ValueError("partition sides overlap")
-        if np.any(self.alphas < 0) or np.any(self.betas < 0):
+        weights = (self.alphas.tolist(), self.betas.tolist())
+        if any(w < 0 for side in weights for w in side):
             raise ValueError("convex weights must be nonnegative")
-        for w in (self.alphas, self.betas):
-            if abs(math.fsum(w.tolist()) - 1.0) > 1e-12:
+        for side in weights:
+            if abs(math.fsum(side) - 1.0) > 1e-12:
                 raise ValueError("convex weights must sum to 1")
 
     def to_dict(self) -> dict:
@@ -209,10 +211,10 @@ def radon_partition(points, tol: float = WEIGHT_RESIDUAL_TOL) -> RadonCertificat
     lam, condition = _null_vector(x)
     condition["scale_exponent"] = k
     pos = lam > 0
-    neg = lam < 0
     pos_sum = float(lam[pos].sum())
-    neg_sum = float(-lam[neg].sum())
-    if not pos.any() or not neg.any():
+    neg_sum = float(-lam[lam < 0].sum())
+    # a side's mass is positive exactly when it has an entry
+    if not (pos_sum > 0.0 and neg_sum > 0.0):
         raise NumericalBreakdown(
             "affine dependence vector is one-signed; cannot split",
             diagnostics={
@@ -222,15 +224,15 @@ def radon_partition(points, tol: float = WEIGHT_RESIDUAL_TOL) -> RadonCertificat
                 **condition,
             },
         )
-    side_a = tuple(int(i) for i in np.flatnonzero(pos))
-    side_b = tuple(int(i) for i in np.flatnonzero(~pos))
+    side_a = tuple(np.flatnonzero(pos).tolist())
+    side_b = tuple(np.flatnonzero(~pos).tolist())
     alphas = lam[pos] / pos_sum
     betas = np.abs(lam[~pos]) / neg_sum  # zero entries stay exactly +0
-    sum_a = alphas @ x[list(side_a)]
-    sum_b = betas @ x[list(side_b)]
+    sum_a = alphas @ x.take(side_a, axis=0)
+    sum_b = betas @ x.take(side_b, axis=0)
     common = 0.5 * (sum_a + sum_b)
-    res = float(max(np.max(np.abs(sum_a - common)), np.max(np.abs(sum_b - common))))
-    scale = float(np.max(np.abs(x)))
+    res = max(float(np.abs(sum_a - common).max()), float(np.abs(sum_b - common).max()))
+    scale = float(np.abs(x).max())
     residual = math.ldexp(res, k)
     if res > tol * scale:
         raise NumericalBreakdown(
@@ -379,8 +381,8 @@ def audit_chain(
         )
     # exact (Sterbenz) wherever the offset dominates the spread
     x = x - x[0]
-    a = x[list(cert.side_a)]
-    b = x[list(cert.side_b)]
+    a = x.take(cert.side_a, axis=0)
+    b = x.take(cert.side_b, axis=0)
     centre = 0.5 * (cert.alphas @ a + cert.betas @ b)
     a_second, a_fourth = _weighted_moments(cert.alphas, a - centre)
     b_second, b_fourth = _weighted_moments(cert.betas, b - centre)

@@ -68,7 +68,7 @@ class SearchResult:
 
 def _normalize(pts: np.ndarray, min_dist: float) -> np.ndarray:
     """Translate the centroid to the origin and scale min distance to 1."""
-    return (pts - pts.mean(axis=0)) / min_dist
+    return (pts - np.add.reduce(pts, axis=0) / pts.shape[0]) / min_dist
 
 
 def _step_size(step0: float, index_in_cycle: int) -> float:

@@ -299,6 +299,21 @@ def kernel_inputs(n, seed=0):
     }
 
 
+def row_ends(m, rows):
+    """(i, first, last) row-major positions of row i's pairs, for up to
+    ``rows`` rows from each end, found by running sums of the row lengths."""
+    head = min(rows, m - 1)
+    ends, start = [], 0
+    for i in range(head):
+        ends.append((i, start, start + m - 2 - i))
+        start += m - 1 - i
+    stop = m * (m - 1) // 2
+    for i in range(m - 2, max(head, m - 1 - rows) - 1, -1):
+        ends.append((i, stop - (m - 1 - i), stop - 1))
+        stop -= m - 1 - i
+    return ends
+
+
 class TestPairKernel:
     @pytest.mark.parametrize("p", [2.0, 4.0])
     @pytest.mark.parametrize("n", [2, 7, 40, 64])
@@ -356,9 +371,19 @@ class TestPairKernel:
         assert lpgeom._pair_index.cache_info().currsize == 1
 
     def test_row_major_positions_decode(self):
-        m = 7
-        pairs = [lpgeom._pair_at(t, m) for t in range(m * (m - 1) // 2)]
-        assert pairs == [(i, j) for i in range(m) for j in range(i + 1, m)]
+        for m in range(2, 81):
+            i, j = np.triu_indices(m, 1)
+            pairs = [lpgeom._pair_at(t, m) for t in range(i.size)]
+            assert pairs == list(zip(i.tolist(), j.tolist())), m
+
+    @pytest.mark.parametrize("m", [386, 1026, 2**16 + 1, 10**7 + 3, 2**27 + 3, 2**30 + 3])
+    def test_row_ends_decode_exactly(self, m):
+        # a float square root in place of math.isqrt misplaces rows from about
+        # 2^27 points on, where the float root of 8u + 1 can round up to the
+        # next odd integer
+        for i, first, last in row_ends(m, 20_000):
+            assert lpgeom._pair_at(first, m) == (i, i + 1), (m, i)
+            assert lpgeom._pair_at(last, m) == (i, m - 1), (m, i)
 
     def test_ties_report_the_lowest_row_major_pair(self):
         rep = ratio_report(Configuration(UNIT_SQUARE, 4.0))

@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import json
 import math
 import os
 import subprocess
@@ -24,6 +26,7 @@ from lp_extremal.radon import (
     certificate_bound,
     radon_partition,
 )
+from lp_extremal.search import minimize_ratio
 
 UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 THREE_ONE = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0], [0.5, 0.5]])
@@ -456,14 +459,24 @@ def exact_null_vector(pts):
 
 
 def one_panel_inputs(m, seed):
-    """A generic, an integer and a rank-deficient set of m points in R^(m-2)."""
+    """A generic, an integer, a rank-deficient and a +-1 set of m points in R^(m-2).
+
+    The +-1 set takes columns m-2..1 of the first m rows of the Sylvester
+    Hadamard matrix of order 32: its pivot columns tie in most steps (25 of
+    the 29 with more than one candidate row at m = 32), and the first of the
+    tied rows is often below the pivot row (15 swaps at m = 32).
+    """
     rng = np.random.default_rng(seed)
     flat = rng.integers(-4, 5, size=(m, m - 2)).astype(float)
     flat[:, -1] = flat[:, 0] - flat[:, 1] if m > 3 else 0.0
+    hadamard = np.ones((1, 1))
+    while hadamard.shape[0] < 32:
+        hadamard = np.block([[hadamard, hadamard], [hadamard, -hadamard]])
     return {
         "uniform": rng.uniform(-1.0, 1.0, size=(m, m - 2)),
         "integer": rng.integers(-5, 6, size=(m, m - 2)).astype(float),
         "flat": flat,
+        "signs": hadamard[:m, m - 2:0:-1],
     }
 
 
@@ -583,3 +596,44 @@ class TestScaleAndThreads:
             )
             outputs.append(proc.stdout)
         assert outputs[0] and outputs[0] == outputs[1]
+
+
+def small_set_payloads():
+    """JSON text of the small-set path's ``to_dict`` payloads.
+
+    Seventy sets of n + 2 points, n = 2..8, drawn in the four modes of
+    acceptance criterion 6, each with its ratio report, equilateral verdict,
+    Radon certificate and audit; the verdicts of the simplices of 2..8
+    points, which take the full scan; and four searches of budget 200.
+    """
+    rng = np.random.default_rng(20261019)
+    out = []
+    for trial in range(70):
+        n = 2 + trial % 7
+        pts = rng.standard_normal((n + 2, n))
+        mode = (trial // 7) % 4
+        if mode == 1:
+            pts *= 10.0 ** rng.uniform(-3, 3)
+        elif mode == 2:
+            pts[rng.integers(n + 2)] *= 1e-3
+        elif mode == 3:
+            pts += rng.standard_normal(n) * 5.0
+        config = Configuration(pts, 4.0)
+        cert = radon_partition(pts)
+        out.append([ratio_report(config).to_dict(), list(is_equilateral(config)),
+                    cert.to_dict(), audit_chain(config, cert).to_dict()])
+    for k in range(2, 9):
+        out.append(list(is_equilateral(Configuration(np.eye(k), 4.0))))
+    for seed in (3, 29):
+        for n in (8, 2):
+            out.append(minimize_ratio(n, 200, "auto", seed).to_dict())
+    return json.dumps(out, sort_keys=True, separators=(",", ":"))
+
+
+def test_small_set_payloads_keep_their_bytes():
+    # every float is written in its shortest round-trip form, so the digest
+    # pins every bit; it was taken with numpy 2.4 and OpenBLAS on x86-64, and
+    # another BLAS kernel may round the weighted sums of the certificate and
+    # the audit differently
+    digest = hashlib.sha256(small_set_payloads().encode()).hexdigest()
+    assert digest == "4df3c7d2ee8e51e26f75f06be8122cf55cc53e3b8cff48ca8ecb03548e9b2b66"

@@ -61,14 +61,6 @@ def _dumps(value) -> str:
     return json.dumps(value, allow_nan=False) + "\n"
 
 
-def _write(path: str, payload: str) -> None:
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(payload)
-    except OSError as exc:
-        raise _InputError(f"cannot write {path}: {exc}") from None
-
-
 def _emit(args, result: dict, text: str) -> None:
     if getattr(args, "csv", False):
         compact = json.dumps(args.manifest, separators=(",", ":"))
@@ -79,7 +71,11 @@ def _emit(args, result: dict, text: str) -> None:
     else:
         payload = text if text.endswith("\n") else text + "\n"
     if args.out is not None:
-        _write(args.out, payload)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            raise _InputError(f"cannot write {args.out}: {exc}") from None
     else:
         sys.stdout.write(payload)
 
@@ -98,15 +94,17 @@ def _load_json_file(path: str) -> dict:
 
 
 def _load_configuration(path: str, p_override=None) -> Configuration:
-    """Read a configuration from bare {p, points} JSON or a CLI envelope."""
+    """Read {p, points} bare, from a CLI envelope's result or from its best_config."""
     data = _load_json_file(path)
     if "points" not in data and isinstance(data.get("result"), dict):
         data = data["result"]
+        if isinstance(data.get("best_config"), dict):
+            data = data["best_config"]
     if "points" not in data or ("p" not in data and p_override is None):
         raise _InputError(f"{path}: configuration JSON needs 'p' and 'points' fields")
     p = p_override if p_override is not None else data["p"]
     try:
-        return Configuration(np.asarray(data["points"], dtype=float), p)
+        return Configuration(data["points"], p)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{path}: {exc}") from None
 
@@ -195,14 +193,6 @@ def _cmd_search(args):
     else:
         seeds = "auto"
     res = minimize_ratio(args.n, args.budget, seeds, args.seed)
-    if args.best_out is not None:
-        body = {
-            "schema": SCHEMA_VERSION,
-            "manifest": args.manifest,
-            **res.best_config.to_dict(),
-            "best_ratio": res.best_ratio,
-        }
-        _write(args.best_out, _dumps(body))
     result = res.to_dict()
     text = (
         f"best ratio {res.best_ratio!r} after {res.evaluations} evaluations "
@@ -293,12 +283,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="FILE.json",
         help="seed the search from this configuration file",
-    )
-    sp.add_argument(
-        "--best-out",
-        default=None,
-        metavar="FILE.json",
-        help="also write the best configuration as standalone JSON",
     )
     add_common(sp, _cmd_search)
 

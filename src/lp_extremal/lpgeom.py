@@ -64,9 +64,21 @@ def _check_real(value, name: str, minimum: int) -> float:
     return x
 
 
+def _as_floats(values, copy: bool) -> np.ndarray:
+    """``values`` as float64; a string, or an array of bools, is not a coordinate.
+
+    Only an object array (a JSON integer beyond int64 makes one) is scanned.
+    """
+    arr = np.array(values) if copy else np.asarray(values)
+    kind = arr.dtype.kind
+    if kind in "USb" or (kind == "O" and any(isinstance(v, (str, bytes)) for v in arr.flat)):
+        raise ValueError(f"coordinates must be numbers, not strings or bools (dtype {arr.dtype})")
+    return arr.astype(float, copy=False)
+
+
 def _as_points(points) -> np.ndarray:
     """A float copy of ``points``: m >= 2 rows of n >= 1 finite coordinates."""
-    pts = np.array(points, dtype=float)
+    pts = _as_floats(points, copy=True)
     if pts.ndim != 2 or pts.shape[0] < 2 or pts.shape[1] < 1:
         raise ValueError(f"points must be an (m, n) array, m >= 2, n >= 1; got shape {pts.shape}")
     if not np.isfinite(pts).all():
@@ -76,7 +88,7 @@ def _as_points(points) -> np.ndarray:
 
 def _as_vector(v) -> list:
     """The coordinates of a non-empty 1-D finite vector, as Python floats."""
-    vec = np.asarray(v, dtype=float)
+    vec = _as_floats(v, copy=False)
     if vec.ndim != 1 or vec.size == 0:
         raise ValueError(f"expected a non-empty 1-D coordinate vector, got shape {vec.shape}")
     vals = vec.tolist()

@@ -159,6 +159,8 @@ class RadonCertificate:
     def __post_init__(self):
         for name in ("alphas", "betas", "common_point"):
             arr = np.array(getattr(self, name), dtype=float)
+            if not all(map(math.isfinite, arr.ravel().tolist())):
+                raise ValueError(f"{name} must be finite (no NaN/inf)")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "side_a", tuple(map(int, self.side_a)))

@@ -25,7 +25,8 @@ from lp_extremal import (
     ratio_report,
     schuette_bound,
 )
-from lp_extremal.cli import _build_parser, main
+from lp_extremal.cli import _build_parser, _load_configuration, main
+from lp_extremal.search import minimize_ratio
 
 
 def run(capsys, *argv):
@@ -200,20 +201,41 @@ class TestSearch:
         assert body["error"]["type"] == "ValueError"
         assert message in body["error"]["message"]
 
-    def test_best_out_is_certifiable(self, capsys, tmp_path):
-        best = tmp_path / "best.json"
-        code, _ = run(
-            capsys, "search", "--n", "2", "--budget", "1200", "--seed", "3",
-            "--best-out", str(best),
-        )
+    def test_out_file_reads_back_as_its_best_config(self, capsys, tmp_path):
+        saved = tmp_path / "run.json"
+        argv = ["search", "--n", "2", "--budget", "1200", "--seed", "3"]
+        code, _ = run(capsys, *argv, "--out", str(saved))
         assert code == 0
-        saved = json.loads(best.read_text())
-        assert saved["schema"] == 1
-        assert "manifest" in saved
+        envelope = json.loads(saved.read_text())
+        assert envelope["schema"] == 1 and envelope["manifest"]["argv"][:7] == argv
+        best = minimize_ratio(2, 1200, "auto", 3).best_config
+        assert envelope["result"]["best_config"] == best.to_dict()
+        loaded = _load_configuration(str(saved))
+        assert loaded.p == best.p and loaded.points.tobytes() == best.points.tobytes()
+        # the flat layout of older runs still reads as a bare file
+        flat = tmp_path / "flat.json"
+        flat.write_text(json.dumps({"schema": 1, "manifest": envelope["manifest"],
+                                    **best.to_dict(), "best_ratio": 1.0}))
+        assert _load_configuration(str(flat)).points.tobytes() == best.points.tobytes()
 
-        code, body = run_json(capsys, "certify", str(best), "--json")
+        code, body = run_json(capsys, "certify", str(saved), "--json")
         assert code == 0
         assert body["result"]["certificate_bound"] >= 2.0 - 1e-9
+        for reader in (["audit"], ["check-equilateral"]):
+            code, _ = run(capsys, *reader, str(saved))
+            assert code == 0, reader
+        code, body = run_json(capsys, "search", "--n", "2", "--budget", "100", "--from",
+                              str(saved), "--json")
+        assert code == 0
+        assert body["result"]["best_ratio"] <= envelope["result"]["best_ratio"]
+
+    def test_best_out_is_a_usage_error(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as exc_info:
+            main(["search", "--n", "2", "--budget", "5", "--best-out", str(tmp_path / "x.json")])
+        assert exc_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--best-out" in captured.err
+        assert not (tmp_path / "x.json").exists()
 
 
 class TestCheckEquilateral:
@@ -368,6 +390,23 @@ class TestErrors:
         assert code == 1
         assert body["error"]["type"] == "NumericalBreakdown"
         assert "diagnostics" in body["error"]
+
+    @pytest.mark.parametrize("command", ["certify", "audit", "check-equilateral"])
+    @pytest.mark.parametrize(
+        "points",
+        [
+            [["0", "0"], [True, 0], [0, 1], [1, 1]],
+            [[0, 0], [1, 0], [0, 1], [1, "1"]],
+            [[False, False], [True, False], [False, True], [True, True]],
+            [[0, 0], [1, 0], [0, 1], [2 ** 70, "1"]],
+        ],
+    )
+    def test_string_or_bool_coordinates_are_exit_1(self, capsys, tmp_path, command, points):
+        cfg = write_config(tmp_path / "sq.json", points)
+        code, body = run_json(capsys, command, cfg)
+        assert code == 1
+        assert body["error"]["type"] == "ValueError"
+        assert "coordinates must be numbers" in body["error"]["message"]
 
     def test_string_exponent_is_exit_1(self, capsys, tmp_path):
         cfg = write_config(tmp_path / "sq.json", UNIT_SQUARE, p="4")
@@ -630,6 +669,8 @@ DOCUMENTS = st.one_of(
     WELL_FORMED,
     st.fixed_dictionaries({"p": EXPONENTS, "points": POINTS}),
     st.fixed_dictionaries({"result": st.fixed_dictionaries({"p": EXPONENTS, "points": POINTS})}),
+    st.fixed_dictionaries({"result": st.fixed_dictionaries({"best_config": st.one_of(
+        st.fixed_dictionaries({"p": EXPONENTS, "points": POINTS}), COORDINATES)})}),
     st.fixed_dictionaries({}, optional={"p": EXPONENTS, "points": POINTS}),
     st.lists(COORDINATES, max_size=2),
 )

@@ -265,6 +265,28 @@ class TestConfiguration:
         with pytest.raises(ValueError):
             Configuration(np.zeros((2, 2)), 0.5)
 
+    @pytest.mark.parametrize(
+        "points",
+        [
+            [["0", "0"], [True, 0], [0, 1], [1, 1]],
+            [[0.0, 0.0], [1.0, "1"]],
+            np.array([[b"0", b"1"], [b"1", b"0"]]),
+            [[False, True], [True, False]],
+            [[0, 2 ** 70], [1, "1"]],
+        ],
+    )
+    def test_strings_and_bools_are_not_coordinates(self, points):
+        calls = [
+            lambda: Configuration(points, 4.0),
+            lambda: p_norm([c for row in points for c in row], 4),
+            lambda: distance(points[0], points[-1], 2),
+        ]
+        if len(points) == 4:
+            calls.append(lambda: radon_partition(points))
+        for call in calls:
+            with pytest.raises(ValueError, match="coordinates must be numbers"):
+                call()
+
     def test_immutability(self):
         pts = np.zeros((2, 2))
         cfg = Configuration(pts, 2.0)

@@ -216,6 +216,13 @@ class TestCertificateBound:
                 residual=0.0,
             )
 
+    @pytest.mark.parametrize("field", ["alphas", "betas", "common_point"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_fields_rejected(self, field, bad):
+        fields = {"alphas": [1.0], "betas": [1.0], "common_point": [0.0], field: [bad]}
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            RadonCertificate(side_a=(0,), side_b=(1,), certificate=1.0, residual=0.0, **fields)
+
 
 class TestAuditChain:
     def test_unit_square_equality(self):

@@ -183,7 +183,8 @@ def _cmd_audit(args):
         for rec in audit.records()
     ]
     lines.append(f"square_slack = {audit.square_slack!r}")
-    lines.append("all inequalities hold" if audit.all_hold() else "violations present")
+    # audit_chain raises NumericalBreakdown on any violation, so a returned audit holds
+    lines.append("all inequalities hold")
     return result, "\n".join(lines)
 
 

@@ -12,7 +12,7 @@ import math
 import operator
 import sys
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -100,9 +100,10 @@ def _as_vector(v) -> list:
 def p_norm(v, p) -> float:
     """(sum_i |v_i|^p)^(1/p) for a coordinate vector ``v`` and exponent ``p >= 1``.
 
-    The largest absolute coordinate is factored out before powering, so the
-    result cannot overflow/underflow for representable inputs, and the
-    per-term powers are accumulated with compensated summation.  Short
+    The largest absolute coordinate is factored out before powering, so no
+    power overflows or underflows, and the per-term powers are accumulated
+    with compensated summation.  A norm beyond the largest float (up to
+    n^(1/p) times the largest coordinate) raises ValueError.  Short
     vectors dominate the callers, so the work runs on Python floats; only
     a general exponent goes through ``np.power``.
 
@@ -122,17 +123,26 @@ def p_norm(v, p) -> float:
 
 
 def _norm(vals: list, pp: float) -> float:
-    """:func:`p_norm` of a list of finite floats, for an exponent already checked."""
+    """:func:`p_norm` of a list of floats, for an exponent already checked.
+
+    The floats are finite, except where a difference in :func:`distance`
+    overflowed: then the norm is nan, and as |u_i - v_i| <= ||u - v||_p the
+    distance is out of range too.
+    """
     vmax = max(map(abs, vals))
     if vmax == 0.0:
         return 0.0
     scaled = [abs(t) / vmax for t in vals]
     if pp == 4.0:
-        return vmax * math.sqrt(math.sqrt(math.fsum([(t * t) * (t * t) for t in scaled])))
-    if pp == 2.0:
-        return vmax * math.sqrt(math.fsum([t * t for t in scaled]))
-    total = math.fsum(np.power(scaled, pp).tolist())
-    return vmax * total ** (1.0 / pp)
+        root = math.sqrt(math.sqrt(math.fsum([(t * t) * (t * t) for t in scaled])))
+    elif pp == 2.0:
+        root = math.sqrt(math.fsum([t * t for t in scaled]))
+    else:
+        root = math.fsum(np.power(scaled, pp).tolist()) ** (1.0 / pp)
+    norm = vmax * root
+    if not norm < math.inf:
+        raise ValueError("the norm exceeds the floating-point range")
+    return norm
 
 
 def distance(u, v, p) -> float:
@@ -141,7 +151,7 @@ def distance(u, v, p) -> float:
     vv = _as_vector(v)
     if len(uu) != len(vv):
         raise ValueError(f"dimension mismatch: {len(uu)} vs {len(vv)}")
-    return p_norm(np.subtract(uu, vv), p)
+    return _norm([a - b for a, b in zip(uu, vv)], _check_real(p, "norm exponent", 1))
 
 
 @dataclass(frozen=True)

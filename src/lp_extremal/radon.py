@@ -355,9 +355,12 @@ def audit_chain(
     that frame, so a set far from the origin loses no digits to its offset.
     M^4 and mu^4 come from fourth-power sums, never from rooted distances.
     Reported values are mapped back by 2^(4k), which is exact in the normal
-    range; a value that would leave the floating-point range raises
-    NumericalBreakdown carrying k.  So does a set with a pair below the pair
-    scan's underflow floor, whose mu^4 may have lost digits in any frame.
+    range.  mu^4 must map to a normal float (M^4 >= mu^4 then does too), and
+    no value may overflow; otherwise NumericalBreakdown is raised carrying k.
+    A smaller derived value (a slack, a moment term) may come back subnormal:
+    it is reported but not exact, and each is compared only with tol * M^4.
+    A set with a pair below the pair scan's underflow floor also raises
+    NumericalBreakdown, as its mu^4 may have lost digits in any frame.
     The fourth-power inequalities are tested to ``tol`` relative to M^4, so
     the verdict is scale-free.  A violated inequality also raises
     NumericalBreakdown: the chain is a theorem, so a violation means
@@ -410,7 +413,7 @@ def audit_chain(
             out = math.ldexp(value, 4 * k)
         except OverflowError:
             out = math.inf
-        if math.isinf(out) or (value != 0.0 and abs(out) < sys.float_info.min):
+        if math.isinf(out) or (name == "mu^4" and out < sys.float_info.min):
             raise NumericalBreakdown(
                 f"{name} leaves the floating-point range at this coordinate scale",
                 diagnostics={"quantity": name, "scaled_value": value, "scale_exponent": k},

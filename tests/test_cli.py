@@ -127,6 +127,10 @@ class TestConstructPipeline:
         ratio4 = body["result"]["audit"]["ratio"]["lhs"]
         assert ratio4 >= body["result"]["certificate_bound"] - 1e-9
 
+        code, text = run(capsys, "audit", str(cfg))
+        assert code == 0
+        assert text.splitlines()[-1] == "all inequalities hold"
+
     def test_n2_pipeline_certificate_at_least_two(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         code, _ = run(capsys, "construct", "--n", "2", "--out", str(cfg))
@@ -629,6 +633,9 @@ class TestEntryPoints:
         assert script.returncode == module.returncode == 0
         assert script.stdout == module.stdout
         assert float(script.stdout) == schuette_bound(4, 2)
+
+    def test_package_version_is_the_project_version(self):
+        assert lp_extremal.__version__ == load_pyproject()["project"]["version"]
 
 
 # Malformed configuration files for the fuzz test below.

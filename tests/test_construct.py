@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -167,6 +168,19 @@ class TestSolveSystem:
                 residual2=0.0,
                 f_at_alpha_residual=0.0,
             )
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (lambda sol: {"alpha_root": -(2.0 ** -0.25)}, "alpha_root must lie below"),
+            (lambda sol: {"y": sol.y + 1e-9}, "x - y must equal alpha_root"),
+            (lambda sol: {"f_at_alpha_residual": 2e-12}, "misses \\(2/k\\)\\^\\(1/4\\) by more"),
+        ],
+    )
+    def test_validation_rejects_inconsistent_fields(self, change, message):
+        sol = solve_system(2)
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(sol, **change(sol))
 
 
 class TestBuildConfiguration:

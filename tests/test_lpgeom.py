@@ -70,6 +70,18 @@ class TestPNorm:
         v = np.array([1e100, 1e100])
         assert p_norm(v, 4) == pytest.approx(1e100 * 2 ** 0.25, rel=1e-15)
 
+    @pytest.mark.parametrize("p", [2, 3, 4])
+    def test_norm_beyond_the_float_range_is_an_error(self, p):
+        # finite coordinates whose norm 1.7e308 * 2^(1/p) is not a float
+        with pytest.raises(ValueError, match="the norm exceeds the floating-point range"):
+            p_norm([1.7e308, 1.7e308], p)
+        assert p_norm([1e308, 1e308], p) == pytest.approx(1e308 * 2 ** (1 / p), rel=1e-15)
+
+    @pytest.mark.parametrize("v", [[], [[1.0, 2.0]]])
+    def test_rejects_empty_or_non_vector_input(self, v):
+        with pytest.raises(ValueError, match="non-empty 1-D coordinate vector"):
+            p_norm(v, 4)
+
     def test_matches_bruteforce_on_random(self):
         rng = np.random.default_rng(7)
         for _ in range(50):
@@ -131,6 +143,15 @@ class TestDistance:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             distance([1.0], [1.0, 2.0], 2)
+
+    def test_overflowing_difference_is_a_distance_out_of_range(self):
+        # both points are finite; their difference 2e308 is not a float, and
+        # it bounds the distance from below
+        with pytest.raises(ValueError, match="the norm exceeds the floating-point range"):
+            distance([1e308], [-1e308], 4)
+        with pytest.raises(ValueError, match="the norm exceeds the floating-point range"):
+            distance([0.0, 1.7e308], [1.7e308, 0.0], 4)
+        assert distance([1e308], [-5e307], 4) == 1.5e308
 
 
 class TestRatioReport:

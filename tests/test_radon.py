@@ -216,6 +216,21 @@ class TestCertificateBound:
                 residual=0.0,
             )
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"alphas": [0.5, 0.5]}, "weight vectors must match their index sets"),
+            ({"side_a": (), "alphas": []}, "both sides of the partition must be non-empty"),
+            ({"side_a": (0, 2), "alphas": [1.5, -0.5]}, "convex weights must be nonnegative"),
+        ],
+    )
+    def test_malformed_partitions_are_rejected(self, fields, message):
+        base = {"side_a": (0,), "side_b": (1,), "alphas": [1.0], "betas": [1.0]}
+        with pytest.raises(ValueError, match=message):
+            RadonCertificate(
+                common_point=[0.0], certificate=1.0, residual=0.0, **{**base, **fields}
+            )
+
     @pytest.mark.parametrize("field", ["alphas", "betas", "common_point"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_fields_rejected(self, field, bad):
@@ -353,6 +368,25 @@ class TestAuditChain:
         # the ratio itself is repriced from distances and does not move
         assert ratio_report(cfg).ratio == 7.7421985432164435
 
+    @pytest.mark.parametrize("e", range(250, 257))
+    def test_audit_range_reaches_the_documented_smallest_distance(self, e):
+        # a noisy unit square has a nearly zero square_slack, which maps to a
+        # subnormal float long before mu^4 does: at 2^-250 its distances are
+        # about 6e-76, and only at 2^-256 does mu^4 leave the normal range
+        noise = 1e-6 * np.random.default_rng(0).normal(size=(4, 2))
+        cfg = Configuration(np.ldexp(UNIT_SQUARE + noise, -e), 4.0)
+        cert = radon_partition(cfg.points)
+        if e == 256:
+            with pytest.raises(NumericalBreakdown, match="mu\\^4 leaves the floating-point range"):
+                audit_chain(cfg, cert)
+            return
+        audit = audit_chain(cfg, cert)
+        assert audit.all_hold()
+        assert 0.0 < audit.square_slack < sys.float_info.min
+        reference = audit_chain(Configuration(UNIT_SQUARE + noise, 4.0), cert)
+        assert audit.ratio == reference.ratio
+        assert audit.cross.lhs == math.ldexp(reference.cross.lhs, -4 * e)
+
     def test_duplicate_points_break_partition(self):
         # a coincident pair makes both sides singletons: sum of squared
         # weights hits 2 and the certificate denominator vanishes
@@ -364,6 +398,12 @@ class TestAuditChain:
         assert diag["rank"] == 3
         assert 0.0 < diag["min_pivot"] <= 1.0
         assert diag["scale_exponent"] == 1
+
+
+class TestNumericalBreakdown:
+    def test_diagnostics_suffix_only_when_there_are_diagnostics(self):
+        assert str(NumericalBreakdown("m")) == "m"
+        assert str(NumericalBreakdown("m", {"k": 1})) == "m (diagnostics: {'k': 1})"
 
 
 class TestCrossModuleSoundness:

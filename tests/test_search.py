@@ -154,6 +154,8 @@ class TestSeeds:
             minimize_ratio(2, 10, [], 0)
         with pytest.raises(ValueError):
             minimize_ratio(2, 10, "car", 0)
+        with pytest.raises(ValueError, match="explicit seeds must be Configuration objects"):
+            minimize_ratio(2, 10, [np.zeros((4, 2))], 0)
 
     def test_seed_with_an_underflowing_pair_is_not_a_duplicate(self):
         # distinct points whose scaled fourth-power distance underflows to 0,

@@ -30,8 +30,9 @@ for row in res.best_config.points:
 
 print()
 
-# larger n: the bound is no longer known to be sharp, and the search
-# gap is the interesting number
+# larger n: no set at the bound is known here for n = 3, 4, 5 (at n = 6 a
+# 0/1 Hadamard set attains it; see the README), so the search gap is the
+# interesting number
 print("n    bound            search best      construction     search gap")
 for n in (3, 4, 5):
     res = minimize_ratio(n, budget=6000, rng_seed=1)

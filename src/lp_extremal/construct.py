@@ -15,13 +15,13 @@ x_k = the unique root of f(t) - t = -alpha_k and y_k = x_k - alpha_k.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from lp_extremal.errors import NumericalBreakdown
-from lp_extremal.lpgeom import Configuration, _check_int
+from lp_extremal.lpgeom import Configuration, _check_int, _check_real
 
 __all__ = [
     "f_eval",
@@ -42,10 +42,16 @@ def f_eval(t, k) -> float:
 
     Equals k^{-1/4} ||(1,0,...,0) + t (1,...,1)||_4: strictly convex,
     strictly Lipschitz with constant below 1, minimum between -1/k and 0.
+    t is a finite number whose fourth-power sum stays in the float range.
     """
     k = _check_int(k, "k", 1)
-    t = float(t)
-    s = math.fsum([(1.0 + t) ** 4, (k - 1.0) * t ** 4])
+    t = _check_real(t, "t")
+    try:
+        s = math.fsum([(1.0 + t) ** 4, (k - 1.0) * t ** 4])
+    except OverflowError:
+        s = math.inf
+    if s == math.inf:
+        raise ValueError(f"f_eval at t = {t!r}, k = {k} exceeds the floating-point range")
     return (s / k) ** 0.25
 
 
@@ -127,25 +133,25 @@ def solve_alpha(k) -> float:
 class ConstructionSolution:
     """Solved block parameters (x, y) for one k, with residual evidence.
 
-    residual1 and residual2 are the absolute residuals of the two
-    defining equations; f_at_alpha_residual is |f(alpha) - (2/k)^{1/4}|.
+    y = x - alpha_root is computed, not passed.  residual1 and residual2
+    are the absolute residuals of the two defining equations;
+    f_at_alpha_residual is |f(alpha) - (2/k)^{1/4}|.
     """
 
     k: int
     x: float
-    y: float
+    y: float = field(init=False)
     alpha_root: float
     residual1: float
     residual2: float
     f_at_alpha_residual: float
 
     def __post_init__(self):
+        object.__setattr__(self, "y", self.x - self.alpha_root)
         if not (self.x < 0.0 < self.y):
             raise ValueError(f"branch must satisfy x < 0 < y, got x={self.x}, y={self.y}")
         if not self.alpha_root < -float(self.k) ** -0.25:
             raise ValueError("alpha_root must lie below -k^(-1/4)")
-        if abs(self.x - self.y - self.alpha_root) > 1e-12:
-            raise ValueError("x - y must equal alpha_root")
         if self.residual1 > SYSTEM_RESIDUAL_TOL or self.residual2 > SYSTEM_RESIDUAL_TOL:
             raise ValueError(
                 f"equation residuals {self.residual1}, {self.residual2} exceed "
@@ -208,7 +214,6 @@ def solve_system(k) -> ConstructionSolution:
     return ConstructionSolution(
         k=k,
         x=x,
-        y=y,
         alpha_root=alpha,
         residual1=residual1,
         residual2=residual2,
@@ -236,7 +241,6 @@ class BuiltConfiguration:
     configuration to within accumulation error.
     """
 
-    n: int
     config: Configuration
     expected_ratio: float
     solution_even_part: ConstructionSolution
@@ -278,7 +282,6 @@ def build_configuration(n) -> BuiltConfiguration:
         # cross distance^4 = 2 k y^4, within = 2; ratio = 1 / (k^{1/4} y)
         expected = 1.0 / (float(k) ** 0.25 * sol_a.y)
     return BuiltConfiguration(
-        n=n,
         config=Configuration(pts, 4.0),
         expected_ratio=expected,
         solution_even_part=sol_a,

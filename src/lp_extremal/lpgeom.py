@@ -47,7 +47,7 @@ def _check_int(value, name: str, minimum: int) -> int:
     return value
 
 
-def _check_real(value, name: str, minimum: int) -> float:
+def _check_real(value, name: str, minimum: float = -math.inf) -> float:
     """``value`` as a float, required finite and >= ``minimum``.
 
     Bools and strings are rejected as in :func:`_check_int`, so neither
@@ -60,19 +60,20 @@ def _check_real(value, name: str, minimum: int) -> float:
     except (TypeError, ValueError):
         x = math.nan
     if not (math.isfinite(x) and x >= minimum):
-        raise ValueError(f"{name} must be a finite number >= {minimum}, got {value!r}")
+        floor = "" if minimum == -math.inf else f" >= {minimum}"
+        raise ValueError(f"{name} must be a finite number{floor}, got {value!r}")
     return x
 
 
-def _as_floats(values, copy: bool) -> np.ndarray:
-    """``values`` as float64; a string, or an array of bools, is not a coordinate.
+def _as_floats(values, copy: bool, name: str = "coordinates") -> np.ndarray:
+    """``values`` as float64; a string, or an array of bools, is not a number.
 
     Only an object array (a JSON integer beyond int64 makes one) is scanned.
     """
     arr = np.array(values) if copy else np.asarray(values)
     kind = arr.dtype.kind
     if kind in "USb" or (kind == "O" and any(isinstance(v, (str, bytes)) for v in arr.flat)):
-        raise ValueError(f"coordinates must be numbers, not strings or bools (dtype {arr.dtype})")
+        raise ValueError(f"{name} must be numbers, not strings or bools (dtype {arr.dtype})")
     return arr.astype(float, copy=False)
 
 

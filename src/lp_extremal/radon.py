@@ -9,6 +9,7 @@ and verifies every intermediate inequality numerically.
 """
 
 import math
+import operator
 import sys
 from dataclasses import dataclass, field
 from typing import Optional
@@ -17,7 +18,7 @@ import numpy as np
 
 from lp_extremal.errors import NumericalBreakdown
 from lp_extremal.lpgeom import (
-    Configuration, _as_points, _check_real, _pair_power_scan, _power_of_two_scaled
+    Configuration, _as_floats, _as_points, _check_real, _pair_power_scan, _power_of_two_scaled
 )
 
 __all__ = [
@@ -120,31 +121,21 @@ def _square_sum(weights: np.ndarray) -> float:
     return math.fsum([w * w for w in weights.tolist()])
 
 
-def _certificate_value(sum_sq: float) -> float:
-    """2 / (2 - sum_sq), where sum_sq sums the squares of both sides' weights."""
-    denom = 2.0 - sum_sq
-    if denom <= 0.0:
-        raise NumericalBreakdown(
-            "weight squares sum to >= 2; certificate undefined",
-            diagnostics={"sum_sq": sum_sq},
-        )
-    return 2.0 / denom
-
-
 @dataclass(frozen=True)
 class RadonCertificate:
     """Radon partition with convex weights and the ratio certificate.
 
-    side_a and side_b are disjoint index tuples covering all n+2
-    points; alphas and betas are the convex weights expressing the
+    side_a and side_b are disjoint tuples of indices >= 0 covering all
+    n+2 points; alphas and betas are the convex weights expressing the
     common point from each side.  certificate = 2/(2 - sum(alpha^2) -
     sum(beta^2)) bounds (max dist / min dist)^4 from below in the
-    4-norm.  residual is the max-norm error of the two weighted-sum
-    constraints relative to common_point.  condition describes the solve
-    that found the partition: its rank, its smallest accepted pivot and
-    the power-of-two scale exponent of the points.  It is None on a
-    certificate built by hand, and it is left out of equality and of
-    ``to_dict``.
+    4-norm: :func:`certificate_bound` of the weights, unless a finite
+    value >= 1 is given by keyword.  residual (>= 0) is the max-norm
+    error of the two weighted-sum constraints relative to common_point.
+    condition describes the solve that found the partition: its rank, its
+    smallest accepted pivot and the power-of-two scale exponent of the
+    points.  It is None on a certificate built by hand, and it is left
+    out of equality and of ``to_dict``.
     """
 
     side_a: tuple
@@ -152,19 +143,28 @@ class RadonCertificate:
     alphas: np.ndarray
     betas: np.ndarray
     common_point: np.ndarray
-    certificate: float
+    certificate: Optional[float] = field(default=None, kw_only=True)
     residual: float
     condition: Optional[dict] = field(default=None, compare=False)
 
     def __post_init__(self):
         for name in ("alphas", "betas", "common_point"):
-            arr = np.array(getattr(self, name), dtype=float)
+            arr = _as_floats(getattr(self, name), copy=True, name=name)
             if not all(map(math.isfinite, arr.ravel().tolist())):
                 raise ValueError(f"{name} must be finite (no NaN/inf)")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        object.__setattr__(self, "side_a", tuple(map(int, self.side_a)))
-        object.__setattr__(self, "side_b", tuple(map(int, self.side_b)))
+        for name in ("side_a", "side_b"):
+            # _check_int's rule (no bools, floats or strings), not index by index
+            side = getattr(self, name)
+            try:
+                idx = tuple(map(operator.index, side))
+            except TypeError:
+                idx = None
+            if idx is None or bool in set(map(type, side)) or (idx and min(idx) < 0):
+                raise ValueError(f"{name} must hold integers >= 0, got {side!r}")
+            object.__setattr__(self, name, idx)
+        object.__setattr__(self, "residual", _check_real(self.residual, "residual", 0))
         if len(self.side_a) != len(self.alphas) or len(self.side_b) != len(self.betas):
             raise ValueError("weight vectors must match their index sets")
         if len(self.side_a) < 1 or len(self.side_b) < 1:
@@ -177,6 +177,10 @@ class RadonCertificate:
         for side in weights:
             if abs(math.fsum(side) - 1.0) > 1e-12:
                 raise ValueError("convex weights must sum to 1")
+        bound = certificate_bound(self)  # raises where the bound is undefined
+        if self.certificate is not None:
+            bound = _check_real(self.certificate, "certificate", 1)
+        object.__setattr__(self, "certificate", bound)
 
     def to_dict(self) -> dict:
         return {
@@ -247,30 +251,33 @@ def radon_partition(points, tol: float = WEIGHT_RESIDUAL_TOL) -> RadonCertificat
                 **condition,
             },
         )
-    try:
-        certificate = _certificate_value(_square_sum(alphas) + _square_sum(betas))
-    except NumericalBreakdown as exc:
-        exc.diagnostics.update(condition)
-        raise
     return RadonCertificate(
         side_a=side_a,
         side_b=side_b,
         alphas=alphas,
         betas=betas,
         common_point=np.ldexp(common, k),
-        certificate=certificate,
         residual=residual,
         condition=condition,
     )
 
 
 def certificate_bound(cert: RadonCertificate) -> float:
-    """Lower bound on ratio^4 implied by the certificate's weights.
+    """2/(2 - sum(alpha^2) - sum(beta^2)), the lower bound on ratio^4 of the weights.
 
-    Recomputed from the weights rather than read off the stored field,
-    so a hand-edited certificate is re-checked.
+    The one formula for the bound, behind the certificate's own field and
+    ``audit_chain``'s ratio record.  It reads only the weights, so a given
+    ``certificate`` is re-checked.  Two single points of weight 1 leave it
+    undefined: NumericalBreakdown carrying sum_sq and the condition.
     """
-    return _certificate_value(_square_sum(cert.alphas) + _square_sum(cert.betas))
+    sum_sq = _square_sum(cert.alphas) + _square_sum(cert.betas)
+    denom = 2.0 - sum_sq
+    if denom <= 0.0:
+        raise NumericalBreakdown(
+            "weight squares sum to >= 2; certificate undefined",
+            diagnostics={"sum_sq": sum_sq, **(cert.condition or {})},
+        )
+    return 2.0 / denom
 
 
 @dataclass(frozen=True)
@@ -356,7 +363,8 @@ def audit_chain(
     M^4 and mu^4 come from fourth-power sums, never from rooted distances.
     Reported values are mapped back by 2^(4k), which is exact in the normal
     range.  mu^4 must map to a normal float (M^4 >= mu^4 then does too), and
-    no value may overflow; otherwise NumericalBreakdown is raised carrying k.
+    no value, the ratio M^4/mu^4 included, may overflow; otherwise
+    NumericalBreakdown is raised carrying k.
     A smaller derived value (a slack, a moment term) may come back subnormal:
     it is reported but not exact, and each is compared only with tol * M^4.
     A set with a pair below the pair scan's underflow floor also raises
@@ -395,7 +403,8 @@ def audit_chain(
     sum_sq_b = _square_sum(cert.betas)
     diff = a_second - b_second
 
-    # fourth-power quantities in units of 2^(4k), in the order they are checked
+    # fourth-power quantities in units of 2^(4k), then the dimensionless
+    # ratio, in the order they are checked
     scaled = {
         "M^4": m4,
         "mu^4": mu4,
@@ -406,11 +415,12 @@ def audit_chain(
         "cross lhs": a_fourth + b_fourth,
         "cross rhs": mu4 - 6.0 * math.fsum((a_second * b_second).tolist()),
         "square_slack": 6.0 * math.fsum((diff * diff).tolist()),
+        "ratio": m4 / mu4,
     }
     raw = {}
     for name, value in scaled.items():
         try:
-            out = math.ldexp(value, 4 * k)
+            out = value if name == "ratio" else math.ldexp(value, 4 * k)
         except OverflowError:
             out = math.inf
         if math.isinf(out) or (name == "mu^4" and out < sys.float_info.min):
@@ -424,8 +434,7 @@ def audit_chain(
     within_a = InequalityRecord("within_a", raw["within_a lhs"], raw["within_a rhs"], m4_raw)
     within_b = InequalityRecord("within_b", raw["within_b lhs"], raw["within_b rhs"], m4_raw)
     cross = InequalityRecord("cross", raw["cross lhs"], raw["cross rhs"], m4_raw)
-    # the certificate_bound of cert, from the square sums already at hand
-    ratio = InequalityRecord("ratio", m4 / mu4, _certificate_value(sum_sq_a + sum_sq_b))
+    ratio = InequalityRecord("ratio", raw["ratio"], certificate_bound(cert))
     audit = ChainAudit(within_a, within_b, cross, ratio, raw["square_slack"], tol)
     for rec in audit.records():
         if not rec.holds(tol):

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -13,7 +14,8 @@ from lp_extremal.bounds import (
     norm_equivalence_factor,
     schuette_bound,
 )
-from lp_extremal.lpgeom import p_norm
+from lp_extremal.lpgeom import Configuration, p_norm, ratio_report
+from lp_extremal.radon import audit_chain, radon_partition
 
 # frozen 20-digit evaluations (mpmath, 50 dps)
 FOURTH_ROOT_2 = 1.1892071150027210667
@@ -59,6 +61,25 @@ class TestSchuetteBound:
                     d = mpmath.mpf(n) if n % 2 == 0 else n - mpmath.mpf(1) / (n + 2)
                     ref = float((1 + 2 / d) ** (mpmath.mpf(1) / p))
                     assert schuette_bound(n, p) == pytest.approx(ref, rel=1e-14)
+
+    def test_hadamard_set_attains_the_bound_at_n6(self):
+        # Sylvester's Hadamard matrix of order 8 has first row and column +1;
+        # its rows, mapped +1 -> 1 and -1 -> 0 with columns 0 and 1 dropped,
+        # are 8 points of {0,1}^6.  Distinct rows differ in 4 of 8 columns,
+        # never in column 0, so two points differ in 3 or 4 of the 6 kept
+        # coordinates: ratio^4 = 4/3 = 1 + 2/n exactly
+        h = np.array([[1]])
+        while h.shape[0] < 8:
+            h = np.block([[h, h], [h, -h]])
+        pts = (h[:, 2:] == 1).astype(float)
+        d4 = {int(np.sum(np.abs(u - v))) for i, u in enumerate(pts) for v in pts[:i]}
+        assert Fraction(max(d4), min(d4)) == 1 + Fraction(2, 6)
+        cfg = Configuration(pts, 4.0)
+        assert ratio_report(cfg).ratio == schuette_bound(6, 4)
+        # the Radon certificate and the audit chain are tight as well
+        audit = audit_chain(cfg, radon_partition(pts))
+        assert audit.ratio.lhs == audit.ratio.rhs == 4 / 3
+        assert audit.square_slack == 0.0
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):

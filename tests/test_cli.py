@@ -532,6 +532,18 @@ class TestErrors:
         assert body["error"]["message"].startswith("mu^4 may have lost digits to underflow")
         assert body["error"]["diagnostics"]["scale_exponent"] == 101
 
+    def test_audit_ratio_beyond_float_range_is_exit_1(self, capsys, tmp_path):
+        # ratio^4 is about 4.9e308 although M^4 and mu^4 are in range
+        pts = [[-0.999, -0.999], [0.999, 0.999], [0, 0], [0, 1.6e-77]]
+        cfg = write_config(tmp_path / "far.json", pts)
+        for extra in ([], ["--json"]):
+            code, out = run(capsys, "audit", cfg, *extra)
+            body = json.loads(out)
+            assert code == 1
+            assert body["error"]["message"].startswith("ratio leaves the floating-point range")
+            assert body["error"]["diagnostics"]["scale_exponent"] == 0
+            assert "all inequalities hold" not in out
+
     def test_max_distance_beyond_float_range_is_named(self, capsys, tmp_path):
         pts = [[1e308, 0.0], [-1e308, 0.0], [0.0, 1.7e308], [0.0, -1.7e308]]
         cfg = write_config(tmp_path / "big.json", pts)

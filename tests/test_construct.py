@@ -54,6 +54,19 @@ class TestFEval:
         with pytest.raises(ValueError):
             f_eval(0.0, 2.5)
 
+    @pytest.mark.parametrize("t", ["0.5", True, np.True_, math.nan, math.inf, -math.inf, None])
+    def test_t_must_be_a_finite_number(self, t):
+        with pytest.raises(ValueError, match="t must be a finite number, got"):
+            f_eval(t, 2)
+
+    def test_numpy_reals_are_accepted(self):
+        assert f_eval(np.float64(-1.0), np.int64(2)) == f_eval(-1.0, 2)
+
+    @pytest.mark.parametrize("t, k", [(1e100, 2), (-1e100, 2), (1e77, 2 ** 40)])
+    def test_overflow_is_a_value_error(self, t, k):
+        with pytest.raises(ValueError, match="exceeds the floating-point range"):
+            f_eval(t, k)
+
     @given(
         st.floats(-50, 50),
         st.floats(-50, 50),
@@ -151,8 +164,7 @@ class TestSolveSystem:
         with pytest.raises(ValueError):
             ConstructionSolution(
                 k=2,
-                x=sol.x,
-                y=-sol.y,
+                x=sol.alpha_root - sol.y,  # so y = x - alpha_root is -sol.y
                 alpha_root=sol.alpha_root,
                 residual1=0.0,
                 residual2=0.0,
@@ -162,7 +174,6 @@ class TestSolveSystem:
             ConstructionSolution(
                 k=2,
                 x=sol.x,
-                y=sol.y,
                 alpha_root=sol.alpha_root,
                 residual1=1.0,
                 residual2=0.0,
@@ -173,7 +184,6 @@ class TestSolveSystem:
         "change, message",
         [
             (lambda sol: {"alpha_root": -(2.0 ** -0.25)}, "alpha_root must lie below"),
-            (lambda sol: {"y": sol.y + 1e-9}, "x - y must equal alpha_root"),
             (lambda sol: {"f_at_alpha_residual": 2e-12}, "misses \\(2/k\\)\\^\\(1/4\\) by more"),
         ],
     )
@@ -182,11 +192,23 @@ class TestSolveSystem:
         with pytest.raises(ValueError, match=message):
             dataclasses.replace(sol, **change(sol))
 
+    def test_y_is_computed_from_x_and_alpha_root(self):
+        sol = solve_system(2)
+        assert sol.y == sol.x - sol.alpha_root
+        moved = dataclasses.replace(sol, x=sol.x + 1e-9)
+        assert moved.y == moved.x - moved.alpha_root
+        init = [f.name for f in dataclasses.fields(ConstructionSolution) if f.init]
+        assert init == ["k", "x", "alpha_root", "residual1", "residual2", "f_at_alpha_residual"]
+        with pytest.raises(TypeError, match="'y'"):
+            ConstructionSolution(**{name: getattr(sol, name) for name in init}, y=sol.y)
+        with pytest.raises(ValueError, match="init=False"):
+            dataclasses.replace(sol, y=sol.y)
+
 
 class TestBuildConfiguration:
     def test_n2_matches_hand_arithmetic(self):
         built = build_configuration(2)
-        assert built.n == 2
+        assert built.config.points.shape == (4, 2)
         assert built.expected_ratio == pytest.approx(RATIO_N2, abs=1e-12)
         pts = built.config.points
         assert pts.shape == (4, 2)
@@ -267,6 +289,6 @@ class TestBuildConfiguration:
 
     def test_numpy_integers_are_accepted(self):
         built = build_configuration(np.int64(5))
-        assert built.n == 5 and type(built.n) is int
+        assert built.config.points.shape == (7, 5)
         assert np.array_equal(built.config.points, build_configuration(5).config.points)
         assert solve_system(np.int32(3)) == solve_system(3)

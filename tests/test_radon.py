@@ -164,7 +164,6 @@ class TestCertificateBound:
             alphas=np.array([2.0 / 3.0, 1.0 / 3.0]),
             betas=np.array([1.0, 0.0]),
             common_point=np.array([1.0]),
-            certificate=4.5,
             residual=0.0,
         )
         b = RadonCertificate(
@@ -173,7 +172,6 @@ class TestCertificateBound:
             alphas=np.array([2.0 / 3.0, 1.0 / 3.0]),
             betas=np.array([1.0]),
             common_point=np.array([1.0]),
-            certificate=4.5,
             residual=0.0,
         )
         assert certificate_bound(a) == certificate_bound(b)
@@ -189,7 +187,6 @@ class TestCertificateBound:
                 alphas=w,
                 betas=w.copy(),
                 common_point=np.zeros(n),
-                certificate=1.0 + 2.0 / n,
                 residual=0.0,
             )
             assert certificate_bound(cert) == pytest.approx(1.0 + 2.0 / n, rel=1e-14)
@@ -202,7 +199,6 @@ class TestCertificateBound:
                 alphas=np.array([0.9]),
                 betas=np.array([1.0]),
                 common_point=np.zeros(1),
-                certificate=2.0,
                 residual=0.0,
             )
         with pytest.raises(ValueError):
@@ -212,7 +208,6 @@ class TestCertificateBound:
                 alphas=np.array([0.5, 0.5]),
                 betas=np.array([1.0]),
                 common_point=np.zeros(1),
-                certificate=2.0,
                 residual=0.0,
             )
 
@@ -228,7 +223,7 @@ class TestCertificateBound:
         base = {"side_a": (0,), "side_b": (1,), "alphas": [1.0], "betas": [1.0]}
         with pytest.raises(ValueError, match=message):
             RadonCertificate(
-                common_point=[0.0], certificate=1.0, residual=0.0, **{**base, **fields}
+                common_point=[0.0], residual=0.0, **{**base, **fields}
             )
 
     @pytest.mark.parametrize("field", ["alphas", "betas", "common_point"])
@@ -236,7 +231,69 @@ class TestCertificateBound:
     def test_non_finite_fields_rejected(self, field, bad):
         fields = {"alphas": [1.0], "betas": [1.0], "common_point": [0.0], field: [bad]}
         with pytest.raises(ValueError, match=f"{field} must be finite"):
-            RadonCertificate(side_a=(0,), side_b=(1,), certificate=1.0, residual=0.0, **fields)
+            RadonCertificate(side_a=(0,), side_b=(1,), residual=0.0, **fields)
+
+
+# one point against two: sum of squares 1 + 1/2, certificate 2 / (1/2) = 4
+ONE_TWO = {"side_a": (0,), "side_b": (1, 2), "alphas": [1.0], "betas": [0.5, 0.5],
+           "common_point": [0.0], "residual": 0.0}
+
+
+class TestDerivedCertificate:
+    def test_certificate_is_computed_from_the_weights(self):
+        cert = RadonCertificate(**ONE_TWO)
+        assert cert.certificate == certificate_bound(cert) == 4.0
+        assert cert.to_dict()["certificate"] == 4.0
+
+    def test_two_single_points_of_weight_one_raise_at_construction(self):
+        with pytest.raises(NumericalBreakdown, match="weight squares sum to >= 2") as exc_info:
+            RadonCertificate(**{**ONE_TWO, "side_b": (1,), "betas": [1.0]})
+        assert exc_info.value.diagnostics == {"sum_sq": 2.0}
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.5, "4.0", True])
+    def test_a_given_certificate_must_be_a_finite_number_of_at_least_1(self, bad):
+        with pytest.raises(ValueError, match="certificate must be a finite number >= 1"):
+            RadonCertificate(**ONE_TWO, certificate=bad)
+
+    def test_a_given_certificate_is_kept_and_rechecked_from_the_weights(self):
+        cert = radon_partition(UNIT_SQUARE)
+        inflated = dataclasses.replace(cert, certificate=cert.certificate * 1e3)
+        assert inflated.certificate == 2e3
+        assert certificate_bound(inflated) == 2.0
+        assert audit_chain(Configuration(UNIT_SQUARE, 4.0), inflated).ratio.rhs == 2.0
+
+
+class TestCertificateInputRules:
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"alphas": ["1"]}, "alphas must be numbers"),
+            ({"alphas": [True]}, "alphas must be numbers"),
+            ({"betas": ["0.5", "0.5"]}, "betas must be numbers"),
+            ({"common_point": ["0.5"]}, "common_point must be numbers"),
+            ({"common_point": [False]}, "common_point must be numbers"),
+            ({"side_a": (0.7,)}, "side_a must hold integers >= 0"),
+            ({"side_a": ("0",)}, "side_a must hold integers >= 0"),
+            ({"side_a": "0"}, "side_a must hold integers >= 0"),
+            ({"side_a": (-1,)}, "side_a must hold integers >= 0"),
+            ({"side_b": (True, 2)}, "side_b must hold integers >= 0"),
+            ({"side_b": (np.True_, 2)}, "side_b must hold integers >= 0"),
+            ({"side_b": (1.0, 2.0)}, "side_b must hold integers >= 0"),
+            ({"residual": -1}, "residual must be a finite number >= 0"),
+            ({"residual": math.nan}, "residual must be a finite number >= 0"),
+            ({"residual": "0"}, "residual must be a finite number >= 0"),
+            ({"residual": True}, "residual must be a finite number >= 0"),
+        ],
+    )
+    def test_malformed_inputs_are_rejected(self, fields, message):
+        with pytest.raises(ValueError, match=message):
+            RadonCertificate(**{**ONE_TWO, **fields})
+
+    def test_numpy_integer_indices_are_python_ints(self):
+        cert = RadonCertificate(**{**ONE_TWO, "side_a": np.array([0]),
+                                   "side_b": (np.int64(1), np.uint8(2))})
+        assert cert.side_a == (0,) and cert.side_b == (1, 2)
+        assert all(type(i) is int for i in cert.side_a + cert.side_b)
 
 
 class TestAuditChain:
@@ -337,7 +394,6 @@ class TestAuditChain:
             alphas=np.array([0.5, 0.5]),
             betas=np.array([0.5, 0.5]),
             common_point=np.array([0.5, 0.5]),
-            certificate=2.0,
             residual=0.0,
         )
         with pytest.raises(ValueError, match="duplicate"):
@@ -387,6 +443,28 @@ class TestAuditChain:
         assert audit.ratio == reference.ratio
         assert audit.cross.lhs == math.ldexp(reference.cross.lhs, -4 * e)
 
+    def test_ratio_overflow_is_a_named_error(self):
+        # ratio^4 is about 4.9e308: M^4 and mu^4 are in range, M^4/mu^4 is not
+        pts = np.array([[-0.999, -0.999], [0.999, 0.999], [0.0, 0.0], [0.0, 1.6e-77]])
+        with pytest.raises(NumericalBreakdown, match="ratio leaves the floating-point range") as exc_info:
+            audit_chain(Configuration(pts, 4.0), radon_partition(pts))
+        diag = exc_info.value.diagnostics
+        assert diag["quantity"] == "ratio"
+        assert diag["scale_exponent"] == _power_of_two_scaled(pts)[1]
+
+    def test_violated_inequality_is_a_named_error(self):
+        # a structurally valid certificate that is not a Radon partition of
+        # the square: the lone point of side_a is not the common point
+        cert = RadonCertificate(side_a=(0,), side_b=(1, 2, 3), alphas=[1.0],
+                                betas=[1 / 3, 1 / 3, 1 / 3], common_point=[0.0, 0.0],
+                                residual=0.0)
+        with pytest.raises(NumericalBreakdown, match="audited inequality 'within_a' violated") as exc_info:
+            audit_chain(Configuration(UNIT_SQUARE, 4.0), cert)
+        diag = exc_info.value.diagnostics
+        assert diag["name"] == "within_a"
+        assert diag["margin"] < 0.0
+        assert diag["weight_residual"] == 0.0
+
     def test_duplicate_points_break_partition(self):
         # a coincident pair makes both sides singletons: sum of squared
         # weights hits 2 and the certificate denominator vanishes
@@ -421,7 +499,8 @@ class TestCrossModuleSoundness:
                 assert r4 >= bound - 1e-9 * max(1.0, r4)
                 assert bound >= floor - 1e-9 * max(1.0, bound)
                 assert rep.ratio >= schuette_bound(n, 4) - 1e-9
-                audit_chain(cfg, cert)
+                # one formula: the field, the function and the audit agree bit for bit
+                assert cert.certificate == bound == audit_chain(cfg, cert).ratio.rhs
 
     @given(st.integers(2, 4), st.integers(0, 10_000))
     @settings(max_examples=60, deadline=None)

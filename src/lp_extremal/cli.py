@@ -22,13 +22,7 @@ from lp_extremal.bounds import bound_sweep, epsilon_threshold
 from lp_extremal.construct import build_configuration
 from lp_extremal.errors import NumericalBreakdown
 from lp_extremal.lpgeom import DEFAULT_TOL, Configuration, is_equilateral, ratio_report
-from lp_extremal.radon import (
-    CHAIN_TOL,
-    WEIGHT_RESIDUAL_TOL,
-    audit_chain,
-    certificate_bound,
-    radon_partition,
-)
+from lp_extremal.radon import audit_chain, certificate_bound, radon_partition
 from lp_extremal.search import minimize_ratio
 
 __all__ = ["main"]
@@ -153,15 +147,14 @@ def _cmd_construct(args):
     return result, text
 
 
-def _certificate(args, config):
+def _certificate(config):
     """The Radon certificate of config and the result fields certify and audit share."""
-    tol = args.tol if args.tol is not None else WEIGHT_RESIDUAL_TOL
-    cert = radon_partition(config.points, tol=tol)
+    cert = radon_partition(config.points)
     return cert, {"certificate": cert.to_dict(), "certificate_bound": certificate_bound(cert)}
 
 
 def _cmd_certify(args):
-    cert, result = _certificate(args, _load_configuration(args.file))
+    cert, result = _certificate(_load_configuration(args.file))
     result["interpretation"] = "lower bound on (max dist / min dist)^4 in the 4-norm"
     text = (
         f"certificate = {cert.certificate!r} "
@@ -173,9 +166,8 @@ def _cmd_certify(args):
 
 def _cmd_audit(args):
     config = _load_configuration(args.file)
-    cert, result = _certificate(args, config)
-    chain_tol = args.tol if args.tol is not None else CHAIN_TOL
-    audit = audit_chain(config, cert, tol=chain_tol)
+    cert, result = _certificate(config)
+    audit = audit_chain(config, cert)
     result["audit"] = audit.to_dict()
     result["all_hold"] = audit.all_hold()
     lines = [
@@ -248,10 +240,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, handler, tol=False):
+    def add_common(sp, handler):
         sp.add_argument("--json", action="store_true", help="emit a JSON envelope")
-        if tol:
-            sp.add_argument("--tol", type=float, default=None, help="override module tolerances")
         sp.add_argument("--out", default=None, help="write output to this file")
         sp.set_defaults(handler=handler)
 
@@ -268,11 +258,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("certify", help="Radon partition certificate for a configuration file")
     sp.add_argument("file", help="configuration JSON with p and points")
-    add_common(sp, _cmd_certify, tol=True)
+    add_common(sp, _cmd_certify)
 
     sp = sub.add_parser("audit", help="certificate plus full inequality-chain audit")
     sp.add_argument("file", help="configuration JSON with p and points")
-    add_common(sp, _cmd_audit, tol=True)
+    add_common(sp, _cmd_audit)
 
     sp = sub.add_parser("search", help="anneal for low-ratio configurations")
     sp.add_argument("--n", type=int, required=True, help="dimension (>= 2)")
@@ -290,7 +280,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("check-equilateral", help="equilateral test with cardinality context")
     sp.add_argument("file", help="configuration JSON with points")
     sp.add_argument("--p", type=float, default=None, help="exponent override")
-    add_common(sp, _cmd_check_equilateral, tol=True)
+    sp.add_argument("--tol", type=float, default=None, help="relative tolerance of the test")
+    add_common(sp, _cmd_check_equilateral)
 
     return parser
 

@@ -42,7 +42,11 @@ def f_eval(t, k) -> float:
 
     Equals k^{-1/4} ||(1,0,...,0) + t (1,...,1)||_4: strictly convex,
     strictly Lipschitz with constant below 1, minimum between -1/k and 0.
-    t is a finite number whose fourth-power sum stays in the float range.
+    t is any finite number.  Where the fourth-power sum overflows (|t|
+    above about 1e77), it is redone with the power of two 2^e >=
+    max(|1+t|, |t|) factored out, which is exact, and f is scaled back
+    by 2^e; in-range sums are untouched.  A k beyond the float range is
+    a ValueError.
     """
     k = _check_int(k, "k", 1)
     t = _check_real(t, "t")
@@ -50,9 +54,14 @@ def f_eval(t, k) -> float:
         s = math.fsum([(1.0 + t) ** 4, (k - 1.0) * t ** 4])
     except OverflowError:
         s = math.inf
-    if s == math.inf:
-        raise ValueError(f"f_eval at t = {t!r}, k = {k} exceeds the floating-point range")
-    return (s / k) ** 0.25
+    if s != math.inf:
+        return (s / k) ** 0.25
+    e = math.frexp(max(abs(1.0 + t), abs(t)))[1]
+    try:
+        s = math.fsum([math.ldexp(1.0 + t, -e) ** 4, (k - 1.0) * math.ldexp(t, -e) ** 4])
+        return math.ldexp((s / k) ** 0.25, e)
+    except OverflowError:
+        raise ValueError(f"f_eval at t = {t!r}, k = {k} exceeds the floating-point range") from None
 
 
 def _bisect_newton(poly, dpoly, lo, hi, label, diagnostics):

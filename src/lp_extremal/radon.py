@@ -30,6 +30,8 @@ __all__ = [
     "audit_chain",
 ]
 
+#: Fixed soundness guards, not parameters: the weight residual relative to
+#: the largest coordinate, and each audited inequality's slack relative to M^4.
 WEIGHT_RESIDUAL_TOL = 1e-10
 CHAIN_TOL = 1e-9
 
@@ -194,25 +196,24 @@ class RadonCertificate:
         }
 
 
-def radon_partition(points, tol: float = WEIGHT_RESIDUAL_TOL) -> RadonCertificate:
+def radon_partition(points) -> RadonCertificate:
     """Partition n+2 points in R^n into sides with intersecting hulls.
 
     Splits on the sign of a nonzero affine dependence: positive
     coefficients form side_a, strictly negative form side_b, and zero
     coefficients join side_b with weight 0.  The normalized weights
-    place the common point in both convex hulls; `tol` bounds the
-    allowed weighted-sum residual relative to the coordinate scale.
+    place the common point in both convex hulls.
     The weighted sums, the common point and the residual are formed on
     the points scaled by 2^-k and mapped back by 2^k, which is exact in
     the normal range, so coordinates near the float limit work too.  The
-    residual is compared with ``tol`` times the largest coordinate in that
-    frame, so the verdict does not change when the points are scaled.
+    residual must stay within ``WEIGHT_RESIDUAL_TOL`` times the largest
+    coordinate in that frame, so the verdict does not change when the
+    points are scaled; beyond it, NumericalBreakdown.
     """
     pts = _as_points(points)
     m, n = pts.shape
     if m != n + 2:
         raise ValueError(f"need exactly n+2 = {n + 2} points in R^{n}, got {m}")
-    tol = _check_real(tol, "tol", 0)
     x, k = _power_of_two_scaled(pts)
     lam, condition = _null_vector(x)
     condition["scale_exponent"] = k
@@ -240,13 +241,13 @@ def radon_partition(points, tol: float = WEIGHT_RESIDUAL_TOL) -> RadonCertificat
     res = max(float(np.abs(sum_a - common).max()), float(np.abs(sum_b - common).max()))
     scale = float(np.abs(x).max())
     residual = math.ldexp(res, k)
-    if res > tol * scale:
+    if res > WEIGHT_RESIDUAL_TOL * scale:
         raise NumericalBreakdown(
             "weighted sums of the two sides disagree beyond tolerance",
             diagnostics={
                 "residual": residual,
                 "scale": math.ldexp(scale, k),
-                "tol": tol,
+                "tol": WEIGHT_RESIDUAL_TOL,
                 "lambda": lam.tolist(),
                 **condition,
             },
@@ -284,7 +285,7 @@ def certificate_bound(cert: RadonCertificate) -> float:
 class InequalityRecord:
     """One audited inequality: lhs >= rhs up to relative tolerance.
 
-    The tolerance is relative to max(scale, |lhs|).  A fourth-power
+    The tolerance is ``CHAIN_TOL`` relative to max(scale, |lhs|).  A fourth-power
     record carries M^4 as its scale, so the test does not change when
     the points are scaled; the dimensionless ratio record keeps 1.
     """
@@ -298,8 +299,8 @@ class InequalityRecord:
     def margin(self) -> float:
         return self.lhs - self.rhs
 
-    def holds(self, tol: float = CHAIN_TOL) -> bool:
-        return self.lhs >= self.rhs - tol * max(self.scale, abs(self.lhs))
+    def holds(self) -> bool:
+        return self.lhs >= self.rhs - CHAIN_TOL * max(self.scale, abs(self.lhs))
 
     def to_dict(self) -> dict:
         return {"name": self.name, "lhs": self.lhs, "rhs": self.rhs, "margin": self.margin}
@@ -323,13 +324,12 @@ class ChainAudit:
     cross: InequalityRecord
     ratio: InequalityRecord
     square_slack: float
-    tol: float
 
     def records(self) -> tuple:
         return (self.within_a, self.within_b, self.cross, self.ratio)
 
     def all_hold(self) -> bool:
-        return all(r.holds(self.tol) for r in self.records()) and self.square_slack >= -self.tol
+        return all(r.holds() for r in self.records()) and self.square_slack >= -CHAIN_TOL
 
     def to_dict(self) -> dict:
         return {
@@ -338,7 +338,7 @@ class ChainAudit:
             "cross": self.cross.to_dict(),
             "ratio": self.ratio.to_dict(),
             "square_slack": self.square_slack,
-            "tol": self.tol,
+            "tol": CHAIN_TOL,
         }
 
 
@@ -350,9 +350,7 @@ def _weighted_moments(weights: np.ndarray, block: np.ndarray):
     return second, fourth
 
 
-def audit_chain(
-    config: Configuration, cert: RadonCertificate, tol: float = CHAIN_TOL
-) -> ChainAudit:
+def audit_chain(config: Configuration, cert: RadonCertificate) -> ChainAudit:
     """Re-derive the certificate on config's points, checking each step.
 
     The audit reads only the certificate's sides and weights.  All moment
@@ -366,10 +364,10 @@ def audit_chain(
     no value, the ratio M^4/mu^4 included, may overflow; otherwise
     NumericalBreakdown is raised carrying k.
     A smaller derived value (a slack, a moment term) may come back subnormal:
-    it is reported but not exact, and each is compared only with tol * M^4.
+    it is reported but not exact, and each is compared only with CHAIN_TOL * M^4.
     A set with a pair below the pair scan's underflow floor also raises
     NumericalBreakdown, as its mu^4 may have lost digits in any frame.
-    The fourth-power inequalities are tested to ``tol`` relative to M^4, so
+    The fourth-power inequalities are tested to ``CHAIN_TOL`` relative to M^4, so
     the verdict is scale-free.  A violated inequality also raises
     NumericalBreakdown: the chain is a theorem, so a violation means
     degenerate numerics or an implementation bug, not a counterexample.
@@ -381,7 +379,6 @@ def audit_chain(
         raise ValueError(f"need exactly n+2 = {n + 2} points, got {m}")
     if sorted(cert.side_a + cert.side_b) != list(range(m)):
         raise ValueError("certificate sides do not cover the configuration's indices")
-    tol = _check_real(tol, "tol", 0)
 
     sums, x, k, low, _ = _pair_power_scan(config.points, 4.0)
     m4 = float(sums.max())
@@ -435,9 +432,9 @@ def audit_chain(
     within_b = InequalityRecord("within_b", raw["within_b lhs"], raw["within_b rhs"], m4_raw)
     cross = InequalityRecord("cross", raw["cross lhs"], raw["cross rhs"], m4_raw)
     ratio = InequalityRecord("ratio", raw["ratio"], certificate_bound(cert))
-    audit = ChainAudit(within_a, within_b, cross, ratio, raw["square_slack"], tol)
+    audit = ChainAudit(within_a, within_b, cross, ratio, raw["square_slack"])
     for rec in audit.records():
-        if not rec.holds(tol):
+        if not rec.holds():
             raise NumericalBreakdown(
                 f"audited inequality {rec.name!r} violated; this indicates a bug "
                 "or degenerate numerics, not a counterexample",
@@ -446,7 +443,7 @@ def audit_chain(
                     "lhs": rec.lhs,
                     "rhs": rec.rhs,
                     "margin": rec.margin,
-                    "tol": tol,
+                    "tol": CHAIN_TOL,
                     "weight_residual": cert.residual,
                 },
             )

@@ -434,7 +434,17 @@ class TestErrors:
             captured = capsys.readouterr()
             assert captured.out == "" and "--csv" in captured.err
 
-    @pytest.mark.parametrize("command", ["certify", "audit", "check-equilateral"])
+    def test_tol_outside_check_equilateral_is_a_usage_error(self, capsys, tmp_path):
+        # the partition and audit guards are constants, not options
+        cfg = write_config(tmp_path / "sq.json", UNIT_SQUARE)
+        for command in ("certify", "audit"):
+            with pytest.raises(SystemExit) as exc_info:
+                main([command, cfg, "--tol", "1e-3"])
+            assert exc_info.value.code == 2, command
+            captured = capsys.readouterr()
+            assert captured.out == "" and "--tol" in captured.err
+
+    @pytest.mark.parametrize("command", ["check-equilateral"])
     @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
     def test_invalid_tol_is_a_named_error(self, capsys, tmp_path, command, tol):
         cfg = write_config(tmp_path / "sq.json", UNIT_SQUARE)
@@ -499,7 +509,7 @@ class TestErrors:
     def test_non_finite_diagnostics_are_written_as_text(self, capsys, tmp_path, monkeypatch):
         # no input is known to give radon_partition's power-of-two scaled sums
         # an infinite residual, so the breakdown is planted
-        def breakdown(points, tol):
+        def breakdown(points):
             raise NumericalBreakdown("planted", diagnostics={"residual": math.inf})
 
         monkeypatch.setattr(lp_extremal.cli, "radon_partition", breakdown)
@@ -510,7 +520,7 @@ class TestErrors:
         assert body["error"]["diagnostics"]["residual"] == "inf"
 
     def test_numpy_diagnostics_are_written_as_python_values(self, capsys, tmp_path, monkeypatch):
-        def breakdown(points, tol):
+        def breakdown(points):
             diagnostics = {"rank": np.int64(3), "flag": np.True_, "pivot": np.float64(0.5),
                            "lambda": np.array([1.0, -math.inf])}
             raise NumericalBreakdown("planted", diagnostics=diagnostics)

@@ -1,20 +1,25 @@
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lp_extremal
 from lp_extremal.bounds import schuette_bound
 from lp_extremal.construct import (
+    BISECT_WIDTH,
     BuiltConfiguration,
     ConstructionSolution,
     build_configuration,
     f_eval,
     solve_alpha,
+    _bisect_newton,
     solve_system,
 )
+from lp_extremal.errors import NumericalBreakdown
 from lp_extremal.lpgeom import Configuration, distance, is_equilateral, ratio_report
 
 # frozen 20-digit evaluations (mpmath, 50 dps)
@@ -62,10 +67,17 @@ class TestFEval:
     def test_numpy_reals_are_accepted(self):
         assert f_eval(np.float64(-1.0), np.int64(2)) == f_eval(-1.0, 2)
 
-    @pytest.mark.parametrize("t, k", [(1e100, 2), (-1e100, 2), (1e77, 2 ** 40)])
-    def test_overflow_is_a_value_error(self, t, k):
+    @pytest.mark.parametrize("t, k", [(1e100, 2), (-1e100, 2), (1e77, 2 ** 40), (-1e300, 5)])
+    def test_overflowing_fourth_powers_match_mpmath(self, t, k):
+        # the unscaled sum overflows; f itself, about |t|, is a float
+        with mpmath.workdps(50):
+            u = mpmath.mpf(t)
+            expected = float((((1 + u) ** 4 + (k - 1) * u ** 4) / k) ** mpmath.mpf(0.25))
+        assert f_eval(t, k) == pytest.approx(expected, rel=1e-15)
+
+    def test_k_beyond_the_float_range_is_a_value_error(self):
         with pytest.raises(ValueError, match="exceeds the floating-point range"):
-            f_eval(t, k)
+            f_eval(0.0, 10 ** 400)
 
     @given(
         st.floats(-50, 50),
@@ -112,9 +124,61 @@ class TestFEval:
             assert f_eval(-1e6, k) + (-1e6) == pytest.approx(-1.0 / k, abs=1e-4)
 
 
+class TestBisectNewton:
+    def test_no_sign_change_after_60_widenings_is_a_named_error(self):
+        with pytest.raises(NumericalBreakdown, match="no sign change found for w") as exc_info:
+            _bisect_newton(lambda t: 1.0, lambda t: 0.0, 0.0, 1.0, "w", {"k": 7})
+        diag = exc_info.value.diagnostics
+        assert diag["k"] == 7 and diag["hi"] == 1.0
+        assert diag["lo"] == 1.0 - 2.0 ** 60  # the width doubled 60 times
+        assert diag["flo"] == diag["fhi"] == 1.0
+
+    def test_root_on_an_endpoint_is_returned_as_is(self):
+        def no_newton(t):
+            raise AssertionError("an exact endpoint root needs no Newton step")
+
+        assert _bisect_newton(lambda t: t, no_newton, 0.0, 1.0, "lo", {}) == 0.0
+        assert _bisect_newton(lambda t: t - 1.0, no_newton, 0.0, 1.0, "hi", {}) == 1.0
+
+    def test_bisection_stops_at_float_resolution(self):
+        # near 12345 adjacent floats are 1.8e-12 apart, wider than BISECT_WIDTH;
+        # the step function has no zero, and its zero derivative skips Newton
+        c = 12345.678
+        ulp = math.ulp(c)
+        assert ulp > BISECT_WIDTH
+        root = _bisect_newton(lambda t: -1.0 if t < c else 1.0, lambda t: 0.0,
+                              0.0, 2.0 * c, "step", {})
+        assert c - ulp <= root <= c
+
+    def test_newton_keeps_the_bisection_root_on_a_zero_derivative(self):
+        calls = []
+
+        def dpoly(t):
+            calls.append(t)
+            return 0.0
+
+        root = _bisect_newton(lambda t: t - 0.3, dpoly, 0.0, 1.0, "flat", {})
+        assert len(calls) == 1 and calls[0] == root
+        assert abs(root - 0.3) <= BISECT_WIDTH
+
+    @pytest.mark.parametrize("slope", [1e-300, 1e-320])
+    def test_newton_step_out_of_the_bracket_is_refused(self, slope):
+        # a tiny derivative throws the step far outside [lo, hi], or to inf
+        root = _bisect_newton(lambda t: t - 0.3, lambda t: slope, 0.0, 1.0, "wild", {})
+        assert 0.0 <= root <= 1.0 and abs(root - 0.3) <= BISECT_WIDTH
+
+
 class TestSolveAlpha:
     def test_k1_closed_form(self):
         assert solve_alpha(1) == pytest.approx(ALPHA_1, abs=1e-12)
+
+    def test_root_outside_the_negative_branch_is_a_named_error(self, monkeypatch):
+        # the bracket keeps the root below -k^(-1/4); a root on hi is planted
+        monkeypatch.setattr(lp_extremal.construct, "_bisect_newton",
+                            lambda poly, dpoly, lo, hi, label, diagnostics: hi)
+        with pytest.raises(NumericalBreakdown, match="failed its bracket constraint") as exc_info:
+            solve_alpha(16)
+        assert exc_info.value.diagnostics == {"k": 16, "alpha": -0.5}
 
     def test_k3_exact_rational_point(self):
         # (1 + (-1))^4 + 2*(-1)^4 = 2 exactly

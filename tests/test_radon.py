@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -18,6 +19,7 @@ from lp_extremal.bounds import schuette_bound
 from lp_extremal.errors import NumericalBreakdown
 from lp_extremal.lpgeom import Configuration, _power_of_two_scaled, is_equilateral, ratio_report
 from lp_extremal.radon import (
+    CHAIN_TOL,
     RADON_PANEL,
     ChainAudit,
     RadonCertificate,
@@ -93,29 +95,45 @@ class TestRadonPartition:
         with pytest.raises(ValueError):
             radon_partition(pts)
 
-    def test_tolerance_override_and_diagnostics(self):
+    def test_tolerance_override_and_diagnostics(self, monkeypatch):
         rng = np.random.default_rng(0)
         pts = rng.normal(size=(6, 4))
-        cert = radon_partition(pts)
-        if cert.residual > 0:
-            with pytest.raises(NumericalBreakdown) as exc_info:
-                radon_partition(pts, tol=0.0)
-            assert "residual" in exc_info.value.diagnostics
-            assert exc_info.value.diagnostics["rank"] == 5
+        assert radon_partition(pts).residual > 0.0
+        # the guard is read when radon_partition runs
+        monkeypatch.setattr(lp_extremal.radon, "WEIGHT_RESIDUAL_TOL", 0.0)
+        with pytest.raises(NumericalBreakdown, match="disagree beyond tolerance") as exc_info:
+            radon_partition(pts)
+        diag = exc_info.value.diagnostics
+        assert diag["residual"] > 0.0 and diag["tol"] == 0.0
+        assert diag["rank"] == 5
 
-    def test_residual_verdict_does_not_change_with_scale(self):
-        # tol is relative to the largest coordinate: a tol just below r/scale
-        # fails at every power-of-two scale and one just above passes, where
-        # an absolute floor of 1 let any residual below 1e-10 pass at 2^-60
+    def test_residual_verdict_does_not_change_with_scale(self, monkeypatch):
+        # the guard is relative to the largest coordinate: a guard just below
+        # r/scale fails at every power-of-two scale and one just above passes,
+        # where an absolute floor of 1 let any residual below 1e-10 pass at 2^-60
         pts = np.random.default_rng(0).normal(size=(6, 4))
         r = radon_partition(pts).residual
         ratio = r / float(np.max(np.abs(pts)))
         assert r > 0.0
         for e in (-60, 0, 60):
             scaled = np.ldexp(pts, e)
+            monkeypatch.setattr(lp_extremal.radon, "WEIGHT_RESIDUAL_TOL", ratio * (1.0 - 1e-6))
             with pytest.raises(NumericalBreakdown, match="disagree"):
-                radon_partition(scaled, tol=ratio * (1.0 - 1e-6))
-            assert radon_partition(scaled, tol=ratio * (1.0 + 1e-6)).residual == math.ldexp(r, e)
+                radon_partition(scaled)
+            monkeypatch.setattr(lp_extremal.radon, "WEIGHT_RESIDUAL_TOL", ratio * (1.0 + 1e-6))
+            assert radon_partition(scaled).residual == math.ldexp(r, e)
+
+    def test_one_signed_dependence_is_a_named_error(self, monkeypatch):
+        # no input is known to give a one-signed null vector, so one is planted
+        def one_signed(x):
+            return np.array([1.0, 2.0, 0.0, 0.5]), {"rank": 3, "min_pivot": 1.0}
+
+        monkeypatch.setattr(lp_extremal.radon, "_null_vector", one_signed)
+        with pytest.raises(NumericalBreakdown, match="one-signed") as exc_info:
+            radon_partition(UNIT_SQUARE)
+        diag = exc_info.value.diagnostics
+        assert diag["positive_mass"] == 3.5 and diag["negative_mass"] == 0.0
+        assert diag["rank"] == 3 and diag["scale_exponent"] == 1
 
     def test_translation_stability(self):
         rng = np.random.default_rng(1)
@@ -143,13 +161,16 @@ class TestRadonPartition:
         "tol", [-1.0, math.nan, math.inf, -math.inf, None, "x", True, np.True_, "1e-9"]
     )
     def test_invalid_tolerance_is_rejected_everywhere(self, tol):
-        config = Configuration(UNIT_SQUARE, 4.0)
-        cert = radon_partition(UNIT_SQUARE)
-        for call in (lambda: radon_partition(UNIT_SQUARE, tol=tol),
-                     lambda: audit_chain(config, cert, tol=tol),
-                     lambda: is_equilateral(config, tol)):
-            with pytest.raises(ValueError, match="tol must be a finite number >= 0"):
-                call()
+        # is_equilateral is the one function that takes a tolerance; the
+        # partition and the audit hold fixed guards
+        with pytest.raises(ValueError, match="tol must be a finite number >= 0"):
+            is_equilateral(Configuration(UNIT_SQUARE, 4.0), tol)
+
+    def test_guards_are_not_parameters(self):
+        # bench/tracer.py reads radon_partition's points and audit_chain's order
+        assert list(inspect.signature(radon_partition).parameters) == ["points"]
+        assert list(inspect.signature(audit_chain).parameters) == ["config", "cert"]
+        assert "tol" not in {f.name for f in dataclasses.fields(ChainAudit)}
 
 
 class TestCertificateBound:
@@ -463,6 +484,7 @@ class TestAuditChain:
         diag = exc_info.value.diagnostics
         assert diag["name"] == "within_a"
         assert diag["margin"] < 0.0
+        assert diag["tol"] == CHAIN_TOL == 1e-9
         assert diag["weight_residual"] == 0.0
 
     def test_duplicate_points_break_partition(self):

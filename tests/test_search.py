@@ -10,6 +10,7 @@ import pytest
 import lp_extremal
 from lp_extremal.bounds import schuette_bound
 from lp_extremal.construct import build_configuration
+from lp_extremal.errors import NumericalBreakdown
 from lp_extremal.lpgeom import Configuration, ratio_report
 from lp_extremal.radon import audit_chain, radon_partition
 from lp_extremal.search import minimize_ratio
@@ -91,6 +92,24 @@ class TestSearchQuality:
             res = minimize_ratio(n, 800, "auto", n)
             assert res.best_ratio >= schuette_bound(n, 4) - 1e-9
             assert res.bound == schuette_bound(n, 4)
+
+    def test_result_below_the_bound_is_a_named_error(self, monkeypatch):
+        # the evaluator is sound, so an inflated bound is planted
+        monkeypatch.setattr(lp_extremal.search, "schuette_bound", lambda n, p: 10.0)
+        with pytest.raises(NumericalBreakdown, match="fell below the proven bound") as exc_info:
+            minimize_ratio(2, 20, "auto", 0)
+        diag = exc_info.value.diagnostics
+        assert diag["bound"] == 10.0 and diag["n"] == 2 and diag["best_ratio"] < 10.0
+
+    def test_coincident_candidates_are_never_accepted(self, monkeypatch):
+        # a kick landing exactly on another point is planted as a zero pair sum
+        seed = Configuration(build_configuration(3).config.points, 4.0)
+        walked = minimize_ratio(3, 500, [seed], 0)
+        monkeypatch.setattr(lp_extremal.search, "_pair_sums", lambda x, p: np.array([0.0, 1.0]))
+        start = minimize_ratio(3, 1, [seed], 0)
+        res = minimize_ratio(3, 500, [seed], 0)
+        assert res.best_ratio == start.best_ratio > walked.best_ratio
+        assert np.array_equal(res.best_config.points, start.best_config.points)
 
     def test_n4_sandwich(self):
         built = build_configuration(4)

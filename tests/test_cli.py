@@ -444,10 +444,18 @@ class TestErrors:
             captured = capsys.readouterr()
             assert captured.out == "" and "--tol" in captured.err
 
-    @pytest.mark.parametrize("command", ["check-equilateral"])
+    @pytest.mark.parametrize("command", ["certify", "audit", "check-equilateral"])
     @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
     def test_invalid_tol_is_a_named_error(self, capsys, tmp_path, command, tol):
         cfg = write_config(tmp_path / "sq.json", UNIT_SQUARE)
+        if command != "check-equilateral":
+            # only check-equilateral takes --tol; elsewhere argparse names it
+            with pytest.raises(SystemExit) as exc_info:
+                main([command, cfg, "--tol", tol])
+            assert exc_info.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and "unrecognized arguments: --tol" in captured.err
+            return
         code, body = run_json(capsys, command, cfg, "--tol", tol)
         assert code == 1
         assert body["error"]["type"] == "ValueError"

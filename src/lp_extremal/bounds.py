@@ -8,7 +8,7 @@ norm-equivalence factor n^{|1/4 - 1/p|}.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from lp_extremal.lpgeom import _check_int, _check_real
 
@@ -79,12 +79,17 @@ def norm_equivalence_factor(n, p) -> float:
 
 @dataclass(frozen=True)
 class BoundRow:
-    """One sweep row: dimension, exponent, ratio bound, threshold width."""
+    """One sweep row: dimension, exponent, and the computed
+    bound = schuette_bound(n, p) and epsilon = epsilon_threshold(n, p)."""
 
     n: int
     p: float
-    bound: float
-    epsilon: float
+    bound: float = field(init=False)
+    epsilon: float = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "bound", schuette_bound(self.n, self.p))
+        object.__setattr__(self, "epsilon", epsilon_threshold(self.n, self.p))
 
     def to_dict(self) -> dict:
         return {"n": self.n, "p": self.p, "bound": self.bound, "epsilon": self.epsilon}
@@ -118,8 +123,4 @@ def bound_sweep(n_start, n_end, p) -> BoundTable:
         raise ValueError(f"empty sweep range {n_start}..{n_end}")
     if n_end - n_start + 1 > MAX_SWEEP_ROWS:
         raise ValueError(f"sweep range {n_start}..{n_end} has more than {MAX_SWEEP_ROWS} rows")
-    rows = tuple(
-        BoundRow(n, float(p), schuette_bound(n, p), epsilon_threshold(n, p))
-        for n in range(n_start, n_end + 1)
-    )
-    return BoundTable(rows)
+    return BoundTable(tuple(BoundRow(n, float(p)) for n in range(n_start, n_end + 1)))

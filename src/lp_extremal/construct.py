@@ -15,13 +15,13 @@ x_k = the unique root of f(t) - t = -alpha_k and y_k = x_k - alpha_k.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from lp_extremal.errors import NumericalBreakdown
-from lp_extremal.lpgeom import Configuration, _check_int, _check_real
+from lp_extremal.lpgeom import Configuration, _assign, _check_int, _check_real
 
 __all__ = [
     "f_eval",
@@ -142,31 +142,41 @@ def solve_alpha(k) -> float:
 class ConstructionSolution:
     """Solved block parameters (x, y) for one k, with residual evidence.
 
-    y = x - alpha_root is computed, not passed.  residual1 and residual2
-    are the absolute residuals of the two defining equations;
-    f_at_alpha_residual is |f(alpha) - (2/k)^{1/4}|.
+    Computed from k, x and alpha_root: y = x - alpha_root, residual1 and
+    residual2, the absolute residuals of the two defining equations, and
+    f_at_alpha_residual = |f(alpha) - (2/k)^{1/4}|.  A record off the
+    y > 0 branch, or with a residual above its guard, is a ValueError.
     """
 
     k: int
     x: float
     y: float = field(init=False)
     alpha_root: float
-    residual1: float
-    residual2: float
-    f_at_alpha_residual: float
+    residual1: float = field(init=False)
+    residual2: float = field(init=False)
+    f_at_alpha_residual: float = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "y", self.x - self.alpha_root)
-        if not (self.x < 0.0 < self.y):
-            raise ValueError(f"branch must satisfy x < 0 < y, got x={self.x}, y={self.y}")
-        if not self.alpha_root < -float(self.k) ** -0.25:
+        k = _check_int(self.k, "k", 1)
+        x, alpha = _check_real(self.x, "x"), _check_real(self.alpha_root, "alpha_root")
+        y = x - alpha
+        if not (x < 0.0 < y):
+            raise ValueError(f"branch must satisfy x < 0 < y, got x={x}, y={y}")
+        if not alpha < -float(k) ** -0.25:
             raise ValueError("alpha_root must lie below -k^(-1/4)")
-        if self.residual1 > SYSTEM_RESIDUAL_TOL or self.residual2 > SYSTEM_RESIDUAL_TOL:
+        try:
+            residual1 = abs(math.fsum([(1.0 + x) ** 4, (k - 1.0) * x ** 4, -k * y ** 4]))
+            residual2 = abs(math.fsum([(1.0 + x - y) ** 4, (k - 1.0) * (x - y) ** 4, -2.0]))
+        except OverflowError:
+            residual1 = residual2 = math.inf
+        f_gap = abs(f_eval(alpha, k) - (2.0 / k) ** 0.25)
+        _assign(self, k=k, x=x, y=y, alpha_root=alpha, residual1=residual1,
+                residual2=residual2, f_at_alpha_residual=f_gap)
+        if residual1 > SYSTEM_RESIDUAL_TOL or residual2 > SYSTEM_RESIDUAL_TOL:
             raise ValueError(
-                f"equation residuals {self.residual1}, {self.residual2} exceed "
-                f"{SYSTEM_RESIDUAL_TOL}"
+                f"equation residuals {residual1}, {residual2} exceed {SYSTEM_RESIDUAL_TOL}"
             )
-        if self.f_at_alpha_residual > 1e-12:
+        if f_gap > 1e-12:
             raise ValueError("f(alpha) misses (2/k)^(1/4) by more than 1e-12")
 
     def asymptotic_gaps(self) -> dict:
@@ -185,24 +195,16 @@ class ConstructionSolution:
         }
 
     def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "x": self.x,
-            "y": self.y,
-            "alpha_root": self.alpha_root,
-            "residual1": self.residual1,
-            "residual2": self.residual2,
-            "f_at_alpha_residual": self.f_at_alpha_residual,
-            "asymptotic_gaps": self.asymptotic_gaps(),
-        }
+        """Every field in declaration order, then ``asymptotic_gaps``."""
+        return {**asdict(self), "asymptotic_gaps": self.asymptotic_gaps()}
 
 
 def solve_system(k) -> ConstructionSolution:
     """Solve the two-equation block system on the y > 0 branch.
 
     x_k is the unique root of f(t) - t = -alpha_k (a cubic after the
-    quartic terms cancel), y_k = x_k - alpha_k.  Residuals of both
-    original equations are checked against 1e-10.
+    quartic terms cancel), y_k = x_k - alpha_k.  ConstructionSolution
+    checks the residuals of both original equations against 1e-10.
     """
     k = _check_int(k, "k", 1)
     alpha = solve_alpha(k)
@@ -214,20 +216,7 @@ def solve_system(k) -> ConstructionSolution:
         return 4.0 * (1.0 + t) ** 3 + 4.0 * (k - 1.0) * t ** 3 - 4.0 * k * (t - alpha) ** 3
 
     x = _bisect_newton(poly, dpoly, -1.0, 0.0, "x", {"k": k, "alpha": alpha})
-    y = x - alpha
-    residual1 = abs(math.fsum([(1.0 + x) ** 4, (k - 1.0) * x ** 4, -k * y ** 4]))
-    residual2 = abs(
-        math.fsum([(1.0 + x - y) ** 4, (k - 1.0) * (x - y) ** 4, -2.0])
-    )
-    f_gap = abs(f_eval(alpha, k) - (2.0 / k) ** 0.25)
-    return ConstructionSolution(
-        k=k,
-        x=x,
-        alpha_root=alpha,
-        residual1=residual1,
-        residual2=residual2,
-        f_at_alpha_residual=f_gap,
-    )
+    return ConstructionSolution(k=k, x=x, alpha_root=alpha)
 
 
 def _equilateral_block(sol: ConstructionSolution) -> np.ndarray:
@@ -241,19 +230,40 @@ def _equilateral_block(sol: ConstructionSolution) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BuiltConfiguration:
-    """An assembled n+2 point configuration with its solver provenance.
+    """An assembled n+2 point configuration, built from its block solutions.
 
     solution_even_part always holds the k-block solution; for odd n a
     second, (k+1)-dimensional block is used and solution_odd_part holds
-    its solution (None for even n).  expected_ratio is the closed-form
-    ratio implied by the block norms; it matches ratio_report on the
-    configuration to within accumulation error.
+    its solution (None for even n).  Computed from them: config, the two
+    blocks on orthogonal coordinate groups, and expected_ratio, the
+    closed-form ratio implied by the block norms, which matches
+    ratio_report on config to within accumulation error.
     """
 
-    config: Configuration
-    expected_ratio: float
+    config: Configuration = field(init=False)
+    expected_ratio: float = field(init=False)
     solution_even_part: ConstructionSolution
     solution_odd_part: Optional[ConstructionSolution] = None
+
+    def __post_init__(self):
+        sol_a, odd = self.solution_even_part, self.solution_odd_part
+        sol_b = sol_a if odd is None else odd
+        if not all(isinstance(sol, ConstructionSolution) for sol in (sol_a, sol_b)):
+            raise ValueError("the block solutions must be ConstructionSolution records")
+        k = sol_a.k
+        if odd is not None and odd.k != k + 1:
+            raise ValueError(f"the odd part solves k = {odd.k}, not the even part's k + 1")
+        n = k + sol_b.k
+        pts = np.zeros((n + 2, n))
+        pts[: k + 1, :k] = _equilateral_block(sol_a)  # k+1 points in R^k
+        pts[k + 1 :, k:] = _equilateral_block(sol_b)  # n-k+1 points in R^{n-k}
+        if odd is not None:
+            cross4 = math.fsum([k * sol_a.y ** 4, (k + 1) * sol_b.y ** 4])
+            expected = 2.0 ** 0.25 / cross4 ** 0.25
+        else:
+            # cross distance^4 = 2 k y^4, within = 2; ratio = 1 / (k^{1/4} y)
+            expected = 1.0 / (float(k) ** 0.25 * sol_a.y)
+        _assign(self, config=Configuration(pts, 4.0), expected_ratio=expected)
 
     def to_dict(self) -> dict:
         """The configuration's wire format plus the solver provenance under
@@ -278,21 +288,5 @@ def build_configuration(n) -> BuiltConfiguration:
     smaller, so the ratio is 2^{1/4} / cross = 1 + sqrt(2/n) + O(n^{-3/4}).
     """
     n = _check_int(n, "n", 2)
-    k = n // 2
-    sol_a = solve_system(k)
-    sol_b = solve_system(k + 1) if n % 2 else sol_a
-    pts = np.zeros((n + 2, n))
-    pts[: k + 1, :k] = _equilateral_block(sol_a)  # k+1 points in R^k
-    pts[k + 1 :, k:] = _equilateral_block(sol_b)  # n-k+1 points in R^{n-k}
-    if n % 2:
-        cross4 = math.fsum([k * sol_a.y ** 4, (k + 1) * sol_b.y ** 4])
-        expected = 2.0 ** 0.25 / cross4 ** 0.25
-    else:
-        # cross distance^4 = 2 k y^4, within = 2; ratio = 1 / (k^{1/4} y)
-        expected = 1.0 / (float(k) ** 0.25 * sol_a.y)
-    return BuiltConfiguration(
-        config=Configuration(pts, 4.0),
-        expected_ratio=expected,
-        solution_even_part=sol_a,
-        solution_odd_part=sol_b if n % 2 else None,
-    )
+    even = solve_system(n // 2)
+    return BuiltConfiguration(even, solve_system(n // 2 + 1) if n % 2 else None)

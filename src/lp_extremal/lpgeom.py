@@ -11,7 +11,7 @@ import functools
 import math
 import operator
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -26,7 +26,7 @@ __all__ = [
     "is_equilateral",
 ]
 
-#: Default relative tolerance for equality-style tests (overridable everywhere).
+#: Default relative tolerance of is_equilateral and of check-equilateral --tol.
 DEFAULT_TOL = 1e-9
 
 
@@ -45,6 +45,12 @@ def _check_int(value, name: str, minimum: int) -> int:
     if value < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {value}")
     return value
+
+
+def _assign(record, **values) -> None:
+    """Set fields of a frozen dataclass ``record``; for its ``__post_init__``."""
+    for name, value in values.items():
+        object.__setattr__(record, name, value)
 
 
 def _check_real(value, name: str, minimum: float = -math.inf) -> float:
@@ -184,13 +190,16 @@ class Configuration:
 
 @dataclass(frozen=True)
 class RatioReport:
-    """Extremes of the pairwise distances of a configuration."""
+    """Extremes of the pairwise distances of a configuration; ratio is max_dist / min_dist."""
 
     max_dist: float
     min_dist: float
-    ratio: float
+    ratio: float = field(init=False)
     argmax_pair: tuple[int, int]
     argmin_pair: tuple[int, int]
+
+    def __post_init__(self):
+        object.__setattr__(self, "ratio", self.max_dist / self.min_dist)
 
     def to_dict(self) -> dict:
         return {
@@ -362,7 +371,6 @@ def ratio_report(config: Configuration) -> RatioReport:
     return RatioReport(
         max_dist=max_dist,
         min_dist=min_dist,
-        ratio=max_dist / min_dist,
         argmax_pair=(imax, jmax),
         argmin_pair=(imin, jmin),
     )

@@ -132,12 +132,15 @@ class RadonCertificate:
     common point from each side.  certificate = 2/(2 - sum(alpha^2) -
     sum(beta^2)) bounds (max dist / min dist)^4 from below in the
     4-norm: :func:`certificate_bound` of the weights, unless a finite
-    value >= 1 is given by keyword.  residual (>= 0) is the max-norm
-    error of the two weighted-sum constraints relative to common_point.
-    condition describes the solve that found the partition: its rank, its
-    smallest accepted pivot and the power-of-two scale exponent of the
-    points.  It is None on a certificate built by hand, and it is left
-    out of equality and of ``to_dict``.
+    value >= 1 is given by keyword: the one computed field of any record
+    that a caller can set, as the benchmark's tests plant a wrong
+    certificate through ``dataclasses.replace``.  residual (>= 0) is the
+    max-norm error of the two weighted-sum constraints relative to
+    common_point.  condition describes the solve that found the
+    partition: its rank, its smallest accepted pivot and the
+    power-of-two scale exponent of the points.  It is None on a
+    certificate built by hand, and it is left out of equality and of
+    ``to_dict``.
     """
 
     side_a: tuple
@@ -219,7 +222,7 @@ def radon_partition(points) -> RadonCertificate:
     condition["scale_exponent"] = k
     pos = lam > 0
     pos_sum = float(lam[pos].sum())
-    neg_sum = float(-lam[lam < 0].sum())
+    neg_sum = float((-lam[lam < 0]).sum())  # an empty sum stays +0.0
     # a side's mass is positive exactly when it has an entry
     if not (pos_sum > 0.0 and neg_sum > 0.0):
         raise NumericalBreakdown(

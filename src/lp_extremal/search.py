@@ -12,7 +12,7 @@ same walk prefix and the result can only improve.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from lp_extremal.bounds import schuette_bound
 from lp_extremal.construct import build_configuration
 from lp_extremal.errors import NumericalBreakdown
 from lp_extremal.lpgeom import (
-    Configuration, _check_int, _pair_power_scan, _pair_sums, ratio_report
+    Configuration, _assign, _check_int, _pair_power_scan, _pair_sums, ratio_report
 )
 
 __all__ = ["SearchResult", "minimize_ratio"]
@@ -39,20 +39,29 @@ AUTO_RANDOM_RESTARTS = 3
 class SearchResult:
     """Best configuration found, with the proven bound for context.
 
-    best_ratio is ratio_report(best_config).ratio verbatim, so
-    re-evaluating reproduces it exactly; gap = best_ratio - bound
-    can approach 0 but a negative value beyond rounding would mean an
-    evaluation bug, not a disproof.  restarts counts the restarts that
-    ran, i.e. those the budget gave at least one evaluation.
+    best_config holds n+2 points in R^n under the 4-norm.  Computed from
+    it: best_ratio = ratio_report(best_config).ratio, bound =
+    schuette_bound(n, 4), and gap = best_ratio - bound, which can approach
+    0 but a negative value beyond rounding would mean an evaluation bug,
+    not a disproof.  restarts counts the restarts the budget gave an evaluation.
     """
 
     best_config: Configuration
-    best_ratio: float
-    bound: float
-    gap: float
+    best_ratio: float = field(init=False)
+    bound: float = field(init=False)
+    gap: float = field(init=False)
     restarts: int
     evaluations: int
     rng_seed: int
+
+    def __post_init__(self):
+        cfg = self.best_config
+        if not (isinstance(cfg, Configuration) and cfg.p == 4.0
+                and cfg.size == cfg.points.shape[1] + 2):
+            raise ValueError("best_config must be a Configuration of n+2 points in R^n with p = 4")
+        best_ratio = ratio_report(cfg).ratio
+        bound = schuette_bound(cfg.points.shape[1], 4)
+        _assign(self, best_ratio=best_ratio, bound=bound, gap=best_ratio - bound)
 
     def to_dict(self) -> dict:
         return {
@@ -191,19 +200,16 @@ def minimize_ratio(n, budget, seeds="auto", rng_seed=0) -> SearchResult:
         if allocs[r] > 0
     ]
     # min keeps the first of equal ratios: ties go to the lowest restart index
-    best_ratio, best_pts = min(outcomes, key=lambda o: o[0])
-    bound = schuette_bound(n, 4)
-    if best_ratio < bound - 1e-9:
-        raise NumericalBreakdown(
-            "search best ratio fell below the proven bound; the evaluator is buggy",
-            diagnostics={"best_ratio": best_ratio, "bound": bound, "n": n},
-        )
-    return SearchResult(
+    best_pts = min(outcomes, key=lambda o: o[0])[1]
+    result = SearchResult(
         best_config=Configuration(best_pts, 4.0),
-        best_ratio=best_ratio,
-        bound=bound,
-        gap=best_ratio - bound,
         restarts=len(outcomes),
         evaluations=sum(allocs),
         rng_seed=rng_seed,
     )
+    if result.best_ratio < result.bound - 1e-9:
+        raise NumericalBreakdown(
+            "search best ratio fell below the proven bound; the evaluator is buggy",
+            diagnostics={"best_ratio": result.best_ratio, "bound": result.bound, "n": n},
+        )
+    return result

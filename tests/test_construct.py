@@ -225,30 +225,18 @@ class TestSolveSystem:
 
     def test_validation_rejects_wrong_branch(self):
         sol = solve_system(2)
-        with pytest.raises(ValueError):
-            ConstructionSolution(
-                k=2,
-                x=sol.alpha_root - sol.y,  # so y = x - alpha_root is -sol.y
-                alpha_root=sol.alpha_root,
-                residual1=0.0,
-                residual2=0.0,
-                f_at_alpha_residual=0.0,
-            )
-        with pytest.raises(ValueError):
-            ConstructionSolution(
-                k=2,
-                x=sol.x,
-                alpha_root=sol.alpha_root,
-                residual1=1.0,
-                residual2=0.0,
-                f_at_alpha_residual=0.0,
-            )
+        with pytest.raises(ValueError, match="branch must satisfy"):
+            # so y = x - alpha_root is -sol.y
+            ConstructionSolution(k=2, x=sol.alpha_root - sol.y, alpha_root=sol.alpha_root)
+        with pytest.raises(ValueError, match="equation residuals"):
+            ConstructionSolution(k=2, x=sol.x + 1e-9, alpha_root=sol.alpha_root)
 
     @pytest.mark.parametrize(
         "change, message",
         [
             (lambda sol: {"alpha_root": -(2.0 ** -0.25)}, "alpha_root must lie below"),
-            (lambda sol: {"f_at_alpha_residual": 2e-12}, "misses \\(2/k\\)\\^\\(1/4\\) by more"),
+            # small enough that both equation residuals stay below 1e-10
+            (lambda sol: {"alpha_root": sol.alpha_root + 1e-11}, "misses \\(2/k\\)\\^\\(1/4\\) by more"),
         ],
     )
     def test_validation_rejects_inconsistent_fields(self, change, message):
@@ -259,10 +247,10 @@ class TestSolveSystem:
     def test_y_is_computed_from_x_and_alpha_root(self):
         sol = solve_system(2)
         assert sol.y == sol.x - sol.alpha_root
-        moved = dataclasses.replace(sol, x=sol.x + 1e-9)
+        moved = dataclasses.replace(sol, x=math.nextafter(sol.x, 0.0))
         assert moved.y == moved.x - moved.alpha_root
         init = [f.name for f in dataclasses.fields(ConstructionSolution) if f.init]
-        assert init == ["k", "x", "alpha_root", "residual1", "residual2", "f_at_alpha_residual"]
+        assert init == ["k", "x", "alpha_root"]
         with pytest.raises(TypeError, match="'y'"):
             ConstructionSolution(**{name: getattr(sol, name) for name in init}, y=sol.y)
         with pytest.raises(ValueError, match="init=False"):

@@ -133,6 +133,7 @@ class TestRadonPartition:
             radon_partition(UNIT_SQUARE)
         diag = exc_info.value.diagnostics
         assert diag["positive_mass"] == 3.5 and diag["negative_mass"] == 0.0
+        assert math.copysign(1.0, diag["negative_mass"]) == 1.0  # +0.0, not -0.0
         assert diag["rank"] == 3 and diag["scale_exponent"] == 1
 
     def test_translation_stability(self):

@@ -1,0 +1,138 @@
+"""Each public record takes as arguments only the fields that do not follow
+from the others; every other field is computed from them, so a record
+cannot carry a value that contradicts its inputs."""
+
+import dataclasses
+import math
+
+import pytest
+
+import lp_extremal
+from lp_extremal import (
+    BoundRow,
+    BuiltConfiguration,
+    Configuration,
+    ConstructionSolution,
+    RatioReport,
+    SearchResult,
+    bound_sweep,
+    build_configuration,
+    ratio_report,
+    solve_system,
+)
+
+INIT_FIELDS = {
+    "BoundRow": ["n", "p"],
+    "BoundTable": ["rows"],
+    "ConstructionSolution": ["k", "x", "alpha_root"],
+    "BuiltConfiguration": ["solution_even_part", "solution_odd_part"],
+    "Configuration": ["points", "p"],
+    "RatioReport": ["max_dist", "min_dist", "argmax_pair", "argmin_pair"],
+    # certificate is derived too, but a caller may plant a value by keyword
+    "RadonCertificate": [
+        "side_a", "side_b", "alphas", "betas", "common_point", "certificate", "residual",
+        "condition",
+    ],
+    "InequalityRecord": ["name", "lhs", "rhs", "scale"],
+    "ChainAudit": ["within_a", "within_b", "cross", "ratio", "square_slack"],
+    "SearchResult": ["best_config", "restarts", "evaluations", "rng_seed"],
+}
+
+UNIT_SQUARE = Configuration([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]], 4.0)
+
+#: Two records of each kind with derived fields, which differ in every derived field.
+RECORD_PAIRS = {
+    "BoundRow": lambda: (BoundRow(3, 4.0), BoundRow(4, 2.0)),
+    "ConstructionSolution": lambda: (solve_system(2), solve_system(5)),
+    "BuiltConfiguration": lambda: (build_configuration(4), build_configuration(5)),
+    "RatioReport": lambda: (
+        RatioReport(2.0, 1.0, (0, 1), (0, 2)), ratio_report(build_configuration(3).config)
+    ),
+    "SearchResult": lambda: (
+        SearchResult(UNIT_SQUARE, 1, 1, 0), SearchResult(build_configuration(3).config, 1, 1, 0)
+    ),
+}
+
+
+def plain(value):
+    """``value`` in a form ``==`` can compare: records by their wire format."""
+    return value.to_dict() if hasattr(value, "to_dict") else value
+
+
+def test_init_fields_are_exactly_the_inputs():
+    records = {
+        name: getattr(lp_extremal, name)
+        for name in lp_extremal.__all__
+        if dataclasses.is_dataclass(getattr(lp_extremal, name))
+    }
+    fields = {name: dataclasses.fields(cls) for name, cls in records.items()}
+    init = {name: [f.name for f in fs if f.init] for name, fs in fields.items()}
+    assert init == INIT_FIELDS
+    assert sum(map(len, init.values())) == 35
+    assert {name for name, fs in fields.items() if not all(f.init for f in fs)} == set(RECORD_PAIRS)
+
+
+@pytest.mark.parametrize("name", sorted(RECORD_PAIRS))
+def test_derived_fields_are_computed_not_passed(name):
+    a, b = RECORD_PAIRS[name]()
+    fields = dataclasses.fields(type(a))
+    inputs = {f.name: getattr(b, f.name) for f in fields if f.init}
+    moved = dataclasses.replace(a, **inputs)
+    for derived in [f.name for f in fields if not f.init]:
+        assert plain(getattr(a, derived)) != plain(getattr(b, derived))
+        # replace recomputes the field from b's inputs instead of copying a's
+        assert plain(getattr(moved, derived)) == plain(getattr(b, derived))
+        with pytest.raises(TypeError, match=f"'{derived}'"):
+            type(a)(**inputs, **{derived: getattr(b, derived)})
+
+
+class TestContradictionsAreRejected:
+    def test_construction_residuals_are_computed_from_x_and_alpha_root(self):
+        # residual1 of this record is 7.03, whatever a caller would claim
+        with pytest.raises(ValueError, match="equation residuals 7.02"):
+            ConstructionSolution(k=2, x=-0.1, alpha_root=-1.5)
+
+    @pytest.mark.parametrize(
+        "inputs, message",
+        [
+            ({"k": "2"}, "k must be an integer"),
+            ({"k": True}, "k must be an integer"),
+            ({"x": math.nan}, "x must be a finite number"),
+            ({"alpha_root": -math.inf}, "alpha_root must be a finite number"),
+            # the fourth powers overflow, so the residuals are infinite
+            ({"x": -1e100, "alpha_root": -2e100}, "equation residuals inf, inf"),
+        ],
+    )
+    def test_construction_inputs_are_checked(self, inputs, message):
+        sol = solve_system(2)
+        with pytest.raises(ValueError, match=message):
+            ConstructionSolution(**{"k": 2, "x": sol.x, "alpha_root": sol.alpha_root, **inputs})
+
+    def test_bound_row_follows_the_bound_rules(self):
+        with pytest.raises(ValueError, match="proven only for p in"):
+            BoundRow(3, 3.0)
+        with pytest.raises(ValueError, match="dimension must be"):
+            BoundRow(0, 4.0)
+        assert BoundRow(3, 4.0) == bound_sweep(3, 3, 4).rows[0]
+
+    def test_built_configuration_needs_the_next_odd_block(self):
+        with pytest.raises(ValueError, match="odd part solves k = 2"):
+            BuiltConfiguration(solve_system(2), solve_system(2))
+        with pytest.raises(ValueError, match="ConstructionSolution records"):
+            BuiltConfiguration(solve_system(2), "odd")
+        built = BuiltConfiguration(solve_system(2), solve_system(3))
+        assert built.to_dict() == build_configuration(5).to_dict()
+
+    def test_search_result_on_the_unit_square_sits_on_the_bound(self):
+        res = SearchResult(UNIT_SQUARE, restarts=1, evaluations=1, rng_seed=0)
+        assert res.best_ratio == ratio_report(UNIT_SQUARE).ratio
+        assert res.gap == 0.0
+
+    @pytest.mark.parametrize(
+        "config",
+        [Configuration(UNIT_SQUARE.points[:3], 4.0), Configuration(UNIT_SQUARE.points, 2.0)],
+        ids=["three-points-in-the-plane", "p=2"],
+    )
+    def test_search_result_needs_n_plus_2_points_in_the_4_norm(self, config):
+        with pytest.raises(ValueError, match="n\\+2 points in R\\^n with p = 4"):
+            SearchResult(config, restarts=1, evaluations=1, rng_seed=0)

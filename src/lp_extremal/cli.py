@@ -99,7 +99,7 @@ def _load_configuration(path: str, p_override=None) -> Configuration:
     p = p_override if p_override is not None else data["p"]
     try:
         return Configuration(data["points"], p)
-    except (TypeError, ValueError, OverflowError) as exc:
+    except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
 

@@ -114,6 +114,11 @@ def _bisect_newton(poly, dpoly, lo, hi, label, diagnostics):
     return root
 
 
+def _alpha_ceiling(k: int) -> float:
+    """-k^{-1/4}, above which alpha lies; a k beyond the float range is a ValueError."""
+    return -_check_real(k, "k") ** -0.25
+
+
 def solve_alpha(k) -> float:
     """Unique negative solution of f(t) = (2/k)^{1/4}.
 
@@ -128,7 +133,7 @@ def solve_alpha(k) -> float:
     def dpoly(t):
         return 4.0 * (1.0 + t) ** 3 + 4.0 * (k - 1.0) * t ** 3
 
-    hi = -float(k) ** -0.25
+    hi = _alpha_ceiling(k)
     alpha = _bisect_newton(poly, dpoly, -1.0 - 2.0 ** 0.25, hi, "alpha", {"k": k})
     if not alpha < hi:
         raise NumericalBreakdown(
@@ -162,7 +167,7 @@ class ConstructionSolution:
         y = x - alpha
         if not (x < 0.0 < y):
             raise ValueError(f"branch must satisfy x < 0 < y, got x={x}, y={y}")
-        if not alpha < -float(k) ** -0.25:
+        if not alpha < _alpha_ceiling(k):
             raise ValueError("alpha_root must lie below -k^(-1/4)")
         try:
             residual1 = abs(math.fsum([(1.0 + x) ** 4, (k - 1.0) * x ** 4, -k * y ** 4]))

@@ -57,12 +57,14 @@ def _check_real(value, name: str, minimum: float = -math.inf) -> float:
     """``value`` as a float, required finite and >= ``minimum``.
 
     Bools and strings are rejected as in :func:`_check_int`, so neither
-    True nor "4" is a number.
+    True nor "4" is a number; an int beyond the float range is too large.
     """
     try:
         if isinstance(value, (bool, np.bool_, str, bytes)):
             raise TypeError
         x = float(value)
+    except OverflowError:
+        raise ValueError(f"{name} is too large for a float") from None
     except (TypeError, ValueError):
         x = math.nan
     if not (math.isfinite(x) and x >= minimum):
@@ -72,15 +74,20 @@ def _check_real(value, name: str, minimum: float = -math.inf) -> float:
 
 
 def _as_floats(values, copy: bool, name: str = "coordinates") -> np.ndarray:
-    """``values`` as float64; a string, or an array of bools, is not a number.
-
-    Only an object array (a JSON integer beyond int64 makes one) is scanned.
+    """``values`` as float64; a string, a complex value or an array of bools is
+    not a number.  Only an object array (a JSON integer beyond int64 makes
+    one) is scanned; a value float() refuses, or cannot hold, is an error too.
     """
     arr = np.array(values) if copy else np.asarray(values)
     kind = arr.dtype.kind
-    if kind in "USb" or (kind == "O" and any(isinstance(v, (str, bytes)) for v in arr.flat)):
-        raise ValueError(f"{name} must be numbers, not strings or bools (dtype {arr.dtype})")
-    return arr.astype(float, copy=False)
+    if kind in "USbc" or (kind == "O" and any(isinstance(v, (str, bytes)) for v in arr.flat)):
+        raise ValueError(f"{name} must be numbers, not text, bools or complex (dtype {arr.dtype})")
+    try:
+        return arr.astype(float, copy=False)
+    except TypeError:
+        raise ValueError(f"{name} must be numbers (dtype {arr.dtype})") from None
+    except OverflowError:
+        raise ValueError(f"{name} must be numbers a float can hold; one is too large") from None
 
 
 def _as_points(points) -> np.ndarray:
@@ -199,6 +206,8 @@ class RatioReport:
     argmin_pair: tuple[int, int]
 
     def __post_init__(self):
+        if not self.min_dist > 0.0:
+            raise ValueError(f"min_dist must be > 0, got {self.min_dist!r}")
         object.__setattr__(self, "ratio", self.max_dist / self.min_dist)
 
     def to_dict(self) -> dict:

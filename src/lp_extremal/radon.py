@@ -9,7 +9,6 @@ and verifies every intermediate inequality numerically.
 """
 
 import math
-import operator
 import sys
 from dataclasses import dataclass, field
 from typing import Optional
@@ -18,7 +17,8 @@ import numpy as np
 
 from lp_extremal.errors import NumericalBreakdown
 from lp_extremal.lpgeom import (
-    Configuration, _as_floats, _as_points, _check_real, _pair_power_scan, _power_of_two_scaled
+    Configuration, _as_floats, _as_points, _assign, _check_real, _pair_power_scan,
+    _power_of_two_scaled,
 )
 
 __all__ = [
@@ -127,65 +127,54 @@ def _square_sum(weights: np.ndarray) -> float:
 class RadonCertificate:
     """Radon partition with convex weights and the ratio certificate.
 
-    side_a and side_b are disjoint tuples of indices >= 0 covering all
-    n+2 points; alphas and betas are the convex weights expressing the
-    common point from each side.  certificate = 2/(2 - sum(alpha^2) -
-    sum(beta^2)) bounds (max dist / min dist)^4 from below in the
-    4-norm: :func:`certificate_bound` of the weights, unless a finite
-    value >= 1 is given by keyword: the one computed field of any record
-    that a caller can set, as the benchmark's tests plant a wrong
-    certificate through ``dataclasses.replace``.  residual (>= 0) is the
-    max-norm error of the two weighted-sum constraints relative to
-    common_point.  condition describes the solve that found the
-    partition: its rank, its smallest accepted pivot and the
-    power-of-two scale exponent of the points.  It is None on a
-    certificate built by hand, and it is left out of equality and of
-    ``to_dict``.
+    weights holds one signed weight per point, the normalised affine
+    dependence: alpha_i > 0 on side a, -beta_i <= 0 on side b, each side
+    summing to 1.  Derived from it: side_a (the indices of positive
+    weight), side_b (the rest), alphas and betas (|weights| on side b, so
+    a zero weight is a beta of +0.0).  certificate = 2/(2 - sum(alpha^2) -
+    sum(beta^2)) bounds (max dist / min dist)^4 from below in the 4-norm:
+    :func:`certificate_bound` of the weights, unless a finite value >= 1
+    is given by keyword: the one computed field of any record that a
+    caller can set, as the benchmark's tests plant a wrong certificate
+    through ``dataclasses.replace``.  residual (>= 0) is the max-norm
+    error of the two weighted-sum constraints relative to common_point.
+    condition (the rank, smallest accepted pivot and power-of-two scale
+    exponent of the solve) is None on a certificate built by hand, and
+    is left out of equality and of ``to_dict``.
     """
 
-    side_a: tuple
-    side_b: tuple
-    alphas: np.ndarray
-    betas: np.ndarray
+    weights: np.ndarray
     common_point: np.ndarray
     certificate: Optional[float] = field(default=None, kw_only=True)
     residual: float
     condition: Optional[dict] = field(default=None, compare=False)
+    side_a: tuple = field(init=False)
+    side_b: tuple = field(init=False)
+    alphas: np.ndarray = field(init=False)
+    betas: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        for name in ("alphas", "betas", "common_point"):
+        for name in ("weights", "common_point"):
             arr = _as_floats(getattr(self, name), copy=True, name=name)
-            if not all(map(math.isfinite, arr.ravel().tolist())):
+            if arr.ndim != 1:
+                raise ValueError(f"{name} must be a 1-D vector, got shape {arr.shape}")
+            if not all(map(math.isfinite, arr.tolist())):
                 raise ValueError(f"{name} must be finite (no NaN/inf)")
             arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        for name in ("side_a", "side_b"):
-            # _check_int's rule (no bools, floats or strings), not index by index
-            side = getattr(self, name)
-            try:
-                idx = tuple(map(operator.index, side))
-            except TypeError:
-                idx = None
-            if idx is None or bool in set(map(type, side)) or (idx and min(idx) < 0):
-                raise ValueError(f"{name} must hold integers >= 0, got {side!r}")
-            object.__setattr__(self, name, idx)
-        object.__setattr__(self, "residual", _check_real(self.residual, "residual", 0))
-        if len(self.side_a) != len(self.alphas) or len(self.side_b) != len(self.betas):
-            raise ValueError("weight vectors must match their index sets")
-        if len(self.side_a) < 1 or len(self.side_b) < 1:
-            raise ValueError("both sides of the partition must be non-empty")
-        if set(self.side_a) & set(self.side_b):
-            raise ValueError("partition sides overlap")
-        weights = (self.alphas.tolist(), self.betas.tolist())
-        if any(w < 0 for side in weights for w in side):
-            raise ValueError("convex weights must be nonnegative")
-        for side in weights:
-            if abs(math.fsum(side) - 1.0) > 1e-12:
-                raise ValueError("convex weights must sum to 1")
+            _assign(self, **{name: arr})
+        pos = self.weights > 0
+        alphas, betas = self.weights[pos], np.abs(self.weights[~pos])
+        for side in (alphas, betas):
+            if abs(math.fsum(side.tolist()) - 1.0) > 1e-12:
+                raise ValueError("both sides of the partition must be non-empty, each summing to 1")
+            side.setflags(write=False)
+        _assign(self, side_a=tuple(np.flatnonzero(pos).tolist()),
+                side_b=tuple(np.flatnonzero(~pos).tolist()), alphas=alphas, betas=betas,
+                residual=_check_real(self.residual, "residual", 0))
         bound = certificate_bound(self)  # raises where the bound is undefined
         if self.certificate is not None:
             bound = _check_real(self.certificate, "certificate", 1)
-        object.__setattr__(self, "certificate", bound)
+        _assign(self, certificate=bound)
 
     def to_dict(self) -> dict:
         return {
@@ -202,10 +191,11 @@ class RadonCertificate:
 def radon_partition(points) -> RadonCertificate:
     """Partition n+2 points in R^n into sides with intersecting hulls.
 
-    Splits on the sign of a nonzero affine dependence: positive
-    coefficients form side_a, strictly negative form side_b, and zero
-    coefficients join side_b with weight 0.  The normalized weights
-    place the common point in both convex hulls.
+    Splits on the sign of a nonzero affine dependence lambda: the
+    certificate's weights are lambda divided by the mass of its own sign,
+    so positive coefficients form side_a, and negative and zero ones
+    side_b.  The normalized weights place the common point in both
+    convex hulls.
     The weighted sums, the common point and the residual are formed on
     the points scaled by 2^-k and mapped back by 2^k, which is exact in
     the normal range, so coordinates near the float limit work too.  The
@@ -234,12 +224,9 @@ def radon_partition(points) -> RadonCertificate:
                 **condition,
             },
         )
-    side_a = tuple(np.flatnonzero(pos).tolist())
-    side_b = tuple(np.flatnonzero(~pos).tolist())
-    alphas = lam[pos] / pos_sum
-    betas = np.abs(lam[~pos]) / neg_sum  # zero entries stay exactly +0
-    sum_a = alphas @ x.take(side_a, axis=0)
-    sum_b = betas @ x.take(side_b, axis=0)
+    weights = np.where(pos, lam / pos_sum, lam / neg_sum)
+    sum_a = weights[pos] @ x[pos]
+    sum_b = np.abs(weights[~pos]) @ x[~pos]  # zero entries stay exactly +0
     common = 0.5 * (sum_a + sum_b)
     res = max(float(np.abs(sum_a - common).max()), float(np.abs(sum_b - common).max()))
     scale = float(np.abs(x).max())
@@ -256,10 +243,7 @@ def radon_partition(points) -> RadonCertificate:
             },
         )
     return RadonCertificate(
-        side_a=side_a,
-        side_b=side_b,
-        alphas=alphas,
-        betas=betas,
+        weights=weights,
         common_point=np.ldexp(common, k),
         residual=residual,
         condition=condition,
@@ -380,8 +364,8 @@ def audit_chain(config: Configuration, cert: RadonCertificate) -> ChainAudit:
     m, n = config.points.shape
     if m != n + 2:
         raise ValueError(f"need exactly n+2 = {n + 2} points, got {m}")
-    if sorted(cert.side_a + cert.side_b) != list(range(m)):
-        raise ValueError("certificate sides do not cover the configuration's indices")
+    if cert.weights.size != m:
+        raise ValueError(f"the certificate has {cert.weights.size} weights for {m} points")
 
     sums, x, k, low, _ = _pair_power_scan(config.points, 4.0)
     m4 = float(sums.max())

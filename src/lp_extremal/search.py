@@ -164,16 +164,14 @@ def minimize_ratio(n, budget, seeds="auto", rng_seed=0) -> SearchResult:
     rng_seed = _check_int(rng_seed, "rng_seed", 0)
 
     ss = np.random.SeedSequence(rng_seed)
-    if isinstance(seeds, str):
-        if seeds != "auto":
-            raise ValueError(f"seeds must be 'auto' or a list of Configurations, got {seeds!r}")
-        children = ss.spawn(1 + AUTO_RANDOM_RESTARTS + 1)
-        seeder = np.random.default_rng(children[0])
+    seeder = np.random.default_rng(ss.spawn(1)[0])
+    if isinstance(seeds, str) and seeds == "auto":
         seed_arrays = [build_configuration(n).config.points]
         seed_arrays += [
             seeder.uniform(-1.0, 1.0, size=(n + 2, n)) for _ in range(AUTO_RANDOM_RESTARTS)
         ]
-        walk_keys = children[1:]
+    elif isinstance(seeds, str) or not hasattr(seeds, "__iter__"):
+        raise ValueError(f"seeds must be 'auto' or a list of Configurations, got {seeds!r}")
     else:
         seeds = list(seeds)
         if not seeds:
@@ -187,9 +185,8 @@ def minimize_ratio(n, budget, seeds="auto", rng_seed=0) -> SearchResult:
                 raise ValueError(
                     f"seed shape {cfg.points.shape} does not match (n+2, n) = {(n + 2, n)}"
                 )
-        children = ss.spawn(1 + len(seeds))
         seed_arrays = [cfg.points for cfg in seeds]
-        walk_keys = children[1:]
+    walk_keys = ss.spawn(len(seed_arrays))
 
     restarts = len(seed_arrays)
     base, extra = divmod(budget, restarts)

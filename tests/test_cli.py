@@ -499,6 +499,7 @@ class TestErrors:
             (["search", "--n", "2", "--budget", "10", "--from"], {"p": 4, "points": [[HUGE]]}),
             (["certify"], {"p": HUGE, "points": UNIT_SQUARE}),
             (["bound", "--n", str(HUGE)], None),
+            (["construct", "--n", str(HUGE)], None),
         ],
     )
     def test_oversized_integer_is_a_named_error(self, capsys, tmp_path, argv, body):

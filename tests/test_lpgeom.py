@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from lp_extremal import audit_chain, build_configuration, lpgeom, radon_partition
 from lp_extremal.lpgeom import (
     Configuration,
+    RatioReport,
     distance,
     is_equilateral,
     p_norm,
@@ -214,6 +215,11 @@ class TestRatioReport:
             assert rep.ratio == rep.max_dist / rep.min_dist
             assert rep.ratio >= 1.0
 
+    @pytest.mark.parametrize("min_dist", [0.0, -1.0, math.nan])
+    def test_min_dist_must_be_positive(self, min_dist):
+        with pytest.raises(ValueError, match="min_dist must be > 0"):
+            RatioReport(1.0, min_dist, (0, 1), (0, 2))
+
     def test_to_dict_writes_pairs_as_lists(self):
         rep = ratio_report(Configuration(TRIANGLE, 4.0))
         body = rep.to_dict()
@@ -307,6 +313,21 @@ class TestConfiguration:
         for call in calls:
             with pytest.raises(ValueError, match="coordinates must be numbers"):
                 call()
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: p_norm([3 + 4j], 2), "coordinates must be numbers"),
+            (lambda: Configuration([[{}, 1], [1, 2]], 4), "coordinates must be numbers"),
+            (lambda: Configuration([[0, 10**400], [1, 2]], 4), "must be numbers.*too large"),
+            (lambda: Configuration(UNIT_SQUARE, 10**400), "norm exponent is too large"),
+            (lambda: is_equilateral(Configuration(UNIT_SQUARE, 4.0), 10**400), "tol is too large"),
+        ],
+        ids=["complex", "dict", "huge-coordinate", "huge-exponent", "huge-tol"],
+    )
+    def test_values_that_are_not_floats_are_value_errors(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
 
     def test_immutability(self):
         pts = np.zeros((2, 2))

@@ -171,8 +171,9 @@ class TestSeeds:
             minimize_ratio(3, 10, [square], 0)
         with pytest.raises(ValueError, match="empty"):
             minimize_ratio(2, 10, [], 0)
-        with pytest.raises(ValueError):
-            minimize_ratio(2, 10, "car", 0)
+        for seeds in ("car", 5, None):
+            with pytest.raises(ValueError, match="seeds must be 'auto' or a list of Configurations"):
+                minimize_ratio(2, 10, seeds, 0)
         with pytest.raises(ValueError, match="explicit seeds must be Configuration objects"):
             minimize_ratio(2, 10, [np.zeros((4, 2))], 0)
 

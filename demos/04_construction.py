@@ -14,15 +14,15 @@ import math
 import numpy as np
 
 from lp_extremal import (
+    ConstructionSolution,
     build_configuration,
     ratio_report,
     schuette_bound,
     solve_alpha,
-    solve_system,
 )
 
 # k = 1 has a closed form: x = -1 - 8^(-1/4), y = 8^(-1/4)
-sol = solve_system(1)
+sol = ConstructionSolution(1)
 print(f"k=1: x = {sol.x!r} (closed form {-1.0 - 8.0 ** -0.25!r})")
 print(f"     y = {sol.y!r} (closed form {8.0 ** -0.25!r})")
 
@@ -37,7 +37,7 @@ print()
 # roots approach simple power laws; the scaled gaps stay bounded
 print("k        |x+k^-1/2-k^-3/4|*k   |y-k^-1/4+k^-3/4|*k   |alpha+...|*k")
 for k in (10, 100, 1000, 10_000):
-    g = solve_system(k).asymptotic_gaps()
+    g = ConstructionSolution(k).asymptotic_gaps()
     print(f"{k:<8d} {g['x']:<21.6f} {g['y']:<21.6f} {g['alpha']:.6f}")
 
 print()

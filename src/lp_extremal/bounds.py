@@ -39,6 +39,7 @@ def schuette_bound(n, p) -> float:
         odd n.  Strictly decreasing in n, always > 1.
     """
     n = _check_int(n, "dimension", 1)
+    _check_real(n, "dimension")
     if p not in (2, 4):
         raise ValueError(f"bound is proven only for p in {{2, 4}}, got {p!r}")
     if n % 2 == 0:
@@ -59,6 +60,7 @@ def epsilon_threshold(n, center_p) -> float:
     2*center_p / (n ln n) as n grows.
     """
     n = _check_int(n, "dimension", 1)
+    _check_real(n, "dimension")
     if center_p not in (2, 4):
         raise ValueError(f"threshold is proven only around p in {{2, 4}}, got {center_p!r}")
     return center_p * math.log1p(2.0 / n) / math.log(n + 2)
@@ -73,6 +75,7 @@ def norm_equivalence_factor(n, p) -> float:
     (and only here) as the 1/p -> 0 limit.
     """
     n = _check_int(n, "dimension", 1)
+    _check_real(n, "dimension")
     inv_p = 0.0 if p == math.inf else 1.0 / _check_real(p, "norm exponent", 1)
     return float(n) ** abs(0.25 - inv_p)
 

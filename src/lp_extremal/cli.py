@@ -323,7 +323,7 @@ def main(argv=None) -> int:
     except _InputError as exc:
         sys.stdout.write(_error_object(exc, 2))
         return 2
-    except (ValueError, OverflowError, NumericalBreakdown) as exc:
+    except (ValueError, OverflowError, MemoryError, NumericalBreakdown) as exc:
         sys.stdout.write(_error_object(exc, 1))
         return 1
     return 0

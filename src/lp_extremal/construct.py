@@ -26,7 +26,6 @@ from lp_extremal.lpgeom import Configuration, _assign, _check_int, _check_real
 __all__ = [
     "f_eval",
     "solve_alpha",
-    "solve_system",
     "ConstructionSolution",
     "BuiltConfiguration",
     "build_configuration",
@@ -114,16 +113,11 @@ def _bisect_newton(poly, dpoly, lo, hi, label, diagnostics):
     return root
 
 
-def _alpha_ceiling(k: int) -> float:
-    """-k^{-1/4}, above which alpha lies; a k beyond the float range is a ValueError."""
-    return -_check_real(k, "k") ** -0.25
-
-
 def solve_alpha(k) -> float:
     """Unique negative solution of f(t) = (2/k)^{1/4}.
 
     The root of (1+t)^4 + (k-1) t^4 - 2 below -k^{-1/4}; at k = 1 it is
-    exactly -1 - 2^{1/4}.
+    exactly -1 - 2^{1/4}.  A k beyond the float range is a ValueError.
     """
     k = _check_int(k, "k", 1)
 
@@ -133,7 +127,7 @@ def solve_alpha(k) -> float:
     def dpoly(t):
         return 4.0 * (1.0 + t) ** 3 + 4.0 * (k - 1.0) * t ** 3
 
-    hi = _alpha_ceiling(k)
+    hi = -_check_real(k, "k") ** -0.25
     alpha = _bisect_newton(poly, dpoly, -1.0 - 2.0 ** 0.25, hi, "alpha", {"k": k})
     if not alpha < hi:
         raise NumericalBreakdown(
@@ -147,42 +141,46 @@ def solve_alpha(k) -> float:
 class ConstructionSolution:
     """Solved block parameters (x, y) for one k, with residual evidence.
 
-    Computed from k, x and alpha_root: y = x - alpha_root, residual1 and
-    residual2, the absolute residuals of the two defining equations, and
-    f_at_alpha_residual = |f(alpha) - (2/k)^{1/4}|.  A record off the
-    y > 0 branch, or with a residual above its guard, is a ValueError.
+    Computed from k: alpha_root = solve_alpha(k); x, the root of f(t) - t =
+    -alpha_k in [-1, 0] by bisection and a Newton polish; y = x - alpha_root;
+    residual1 and residual2 of the two block equations; f_at_alpha_residual
+    = |f(alpha) - (2/k)^{1/4}|.  A solution off the y > 0 branch or above a
+    residual guard is a NumericalBreakdown that carries every field.
     """
 
     k: int
-    x: float
+    x: float = field(init=False)
     y: float = field(init=False)
-    alpha_root: float
+    alpha_root: float = field(init=False)
     residual1: float = field(init=False)
     residual2: float = field(init=False)
     f_at_alpha_residual: float = field(init=False)
 
     def __post_init__(self):
         k = _check_int(self.k, "k", 1)
-        x, alpha = _check_real(self.x, "x"), _check_real(self.alpha_root, "alpha_root")
+        alpha = solve_alpha(k)
+
+        def poly(t):
+            return math.fsum([(1.0 + t) ** 4, (k - 1.0) * t ** 4, -k * (t - alpha) ** 4])
+
+        def dpoly(t):
+            return 4.0 * (1.0 + t) ** 3 + 4.0 * (k - 1.0) * t ** 3 - 4.0 * k * (t - alpha) ** 3
+
+        x = _bisect_newton(poly, dpoly, -1.0, 0.0, "x", {"k": k, "alpha": alpha})
         y = x - alpha
-        if not (x < 0.0 < y):
-            raise ValueError(f"branch must satisfy x < 0 < y, got x={x}, y={y}")
-        if not alpha < _alpha_ceiling(k):
-            raise ValueError("alpha_root must lie below -k^(-1/4)")
-        try:
-            residual1 = abs(math.fsum([(1.0 + x) ** 4, (k - 1.0) * x ** 4, -k * y ** 4]))
-            residual2 = abs(math.fsum([(1.0 + x - y) ** 4, (k - 1.0) * (x - y) ** 4, -2.0]))
-        except OverflowError:
-            residual1 = residual2 = math.inf
+        residual1 = abs(math.fsum([(1.0 + x) ** 4, (k - 1.0) * x ** 4, -k * y ** 4]))
+        residual2 = abs(math.fsum([(1.0 + x - y) ** 4, (k - 1.0) * (x - y) ** 4, -2.0]))
         f_gap = abs(f_eval(alpha, k) - (2.0 / k) ** 0.25)
         _assign(self, k=k, x=x, y=y, alpha_root=alpha, residual1=residual1,
                 residual2=residual2, f_at_alpha_residual=f_gap)
-        if residual1 > SYSTEM_RESIDUAL_TOL or residual2 > SYSTEM_RESIDUAL_TOL:
-            raise ValueError(
-                f"equation residuals {residual1}, {residual2} exceed {SYSTEM_RESIDUAL_TOL}"
-            )
-        if f_gap > 1e-12:
-            raise ValueError("f(alpha) misses (2/k)^(1/4) by more than 1e-12")
+        for holds, message in [
+            (x < 0.0 < y, "branch must satisfy x < 0 < y"),
+            (residual1 <= SYSTEM_RESIDUAL_TOL and residual2 <= SYSTEM_RESIDUAL_TOL,
+             "equation residuals exceed SYSTEM_RESIDUAL_TOL"),
+            (f_gap <= 1e-12, "f(alpha) misses (2/k)^(1/4) by more than 1e-12"),
+        ]:
+            if not holds:
+                raise NumericalBreakdown(message, diagnostics=asdict(self))
 
     def asymptotic_gaps(self) -> dict:
         """Scaled deviations from the three large-k expansions.
@@ -202,26 +200,6 @@ class ConstructionSolution:
     def to_dict(self) -> dict:
         """Every field in declaration order, then ``asymptotic_gaps``."""
         return {**asdict(self), "asymptotic_gaps": self.asymptotic_gaps()}
-
-
-def solve_system(k) -> ConstructionSolution:
-    """Solve the two-equation block system on the y > 0 branch.
-
-    x_k is the unique root of f(t) - t = -alpha_k (a cubic after the
-    quartic terms cancel), y_k = x_k - alpha_k.  ConstructionSolution
-    checks the residuals of both original equations against 1e-10.
-    """
-    k = _check_int(k, "k", 1)
-    alpha = solve_alpha(k)
-
-    def poly(t):
-        return math.fsum([(1.0 + t) ** 4, (k - 1.0) * t ** 4, -k * (t - alpha) ** 4])
-
-    def dpoly(t):
-        return 4.0 * (1.0 + t) ** 3 + 4.0 * (k - 1.0) * t ** 3 - 4.0 * k * (t - alpha) ** 3
-
-    x = _bisect_newton(poly, dpoly, -1.0, 0.0, "x", {"k": k, "alpha": alpha})
-    return ConstructionSolution(k=k, x=x, alpha_root=alpha)
 
 
 def _equilateral_block(sol: ConstructionSolution) -> np.ndarray:
@@ -293,5 +271,5 @@ def build_configuration(n) -> BuiltConfiguration:
     smaller, so the ratio is 2^{1/4} / cross = 1 + sqrt(2/n) + O(n^{-3/4}).
     """
     n = _check_int(n, "n", 2)
-    even = solve_system(n // 2)
-    return BuiltConfiguration(even, solve_system(n // 2 + 1) if n % 2 else None)
+    even = ConstructionSolution(n // 2)
+    return BuiltConfiguration(even, ConstructionSolution(n // 2 + 1) if n % 2 else None)

@@ -173,7 +173,7 @@ class Configuration:
     """An ordered list of m >= 2 points in R^n together with the exponent p.
 
     Immutable after construction: the coordinate array is copied and marked
-    read-only, so instances are safe to share across threads.
+    read-only.
     """
 
     points: np.ndarray

@@ -34,6 +34,9 @@ STEP_FLOOR = 1e-8
 TEMPERATURE_FACTOR = 0.2
 AUTO_RANDOM_RESTARTS = 3
 
+#: Largest evaluation budget one search takes.
+MAX_BUDGET = 1_000_000
+
 
 @dataclass(frozen=True)
 class SearchResult:
@@ -161,6 +164,8 @@ def minimize_ratio(n, budget, seeds="auto", rng_seed=0) -> SearchResult:
     """
     n = _check_int(n, "n", 2)
     budget = _check_int(budget, "budget", 1)
+    if budget > MAX_BUDGET:
+        raise ValueError(f"budget must be <= {MAX_BUDGET}")
     rng_seed = _check_int(rng_seed, "rng_seed", 0)
 
     ss = np.random.SeedSequence(rng_seed)

@@ -15,6 +15,7 @@ import numpy as np
 
 from lp_extremal import (
     Configuration,
+    ConstructionSolution,
     audit_chain,
     build_configuration,
     certificate_bound,
@@ -25,7 +26,6 @@ from lp_extremal import (
     radon_partition,
     ratio_report,
     schuette_bound,
-    solve_system,
 )
 
 FOURTH_ROOT_2 = 2.0 ** 0.25
@@ -90,7 +90,7 @@ def test_criterion_03_construction_correctness():
     t0 = time.perf_counter()
     failures = []
     for k in range(1, 65):
-        sol = solve_system(k)
+        sol = ConstructionSolution(k)
         if max(sol.residual1, sol.residual2) > 1e-10:
             failures.append(f"k={k}: residuals {sol.residual1:.2e}/{sol.residual2:.2e}")
         built = build_configuration(2 * k)
@@ -116,7 +116,7 @@ def test_criterion_03_construction_correctness():
         expected = 1.0 / (k ** 0.25 * sol.y)
         if abs(hi / lo - expected) > 1e-9 * expected:
             failures.append(f"k={k}: ratio {hi / lo!r} != {expected!r}")
-    sol1 = solve_system(1)
+    sol1 = ConstructionSolution(1)
     x_closed = -1.0 - 8.0 ** -0.25
     y_closed = 8.0 ** -0.25
     if abs(sol1.x - x_closed) > 1e-12 or abs(sol1.y - y_closed) > 1e-12:
@@ -133,7 +133,7 @@ def test_criterion_04_root_asymptotics():
     grid = (100, 1000, 10_000, 100_000)
     gaps = {"x": [], "y": [], "alpha": []}
     for k in grid:
-        for name, value in solve_system(k).asymptotic_gaps().items():
+        for name, value in ConstructionSolution(k).asymptotic_gaps().items():
             gaps[name].append(value)
     for name, series in gaps.items():
         if not bounded_and_non_exploding(series, 10.0):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lp_extremal.bounds import (
+    BoundRow,
     BoundTable,
     bound_sweep,
     epsilon_threshold,
@@ -222,6 +223,18 @@ class TestIntegerArguments:
     def test_bool_is_not_a_dimension(self, call):
         with pytest.raises(ValueError, match="dimension must be an integer, got True"):
             call(True)
+
+    @pytest.mark.parametrize("call", [
+        lambda n: schuette_bound(n, 4),
+        lambda n: epsilon_threshold(n, 4),
+        lambda n: norm_equivalence_factor(n, 3.0),
+        lambda n: BoundRow(n, 4.0),
+        lambda n: bound_sweep(n, n, 4),
+    ], ids=["schuette_bound", "epsilon_threshold", "norm_equivalence_factor", "BoundRow",
+            "bound_sweep"])
+    def test_dimension_beyond_the_float_range_is_a_value_error(self, call):
+        with pytest.raises(ValueError, match="dimension is too large for a float"):
+            call(10 ** 400)
 
     def test_numpy_integers_are_dimensions(self):
         for n in (np.int64(3), np.int32(4), np.uint8(5)):

@@ -26,7 +26,7 @@ from lp_extremal import (
     schuette_bound,
 )
 from lp_extremal.cli import _build_parser, _load_configuration, main
-from lp_extremal.search import minimize_ratio
+from lp_extremal.search import MAX_BUDGET, minimize_ratio
 
 
 def run(capsys, *argv):
@@ -232,6 +232,12 @@ class TestSearch:
                               str(saved), "--json")
         assert code == 0
         assert body["result"]["best_ratio"] <= envelope["result"]["best_ratio"]
+
+    def test_budget_above_the_cap_is_exit_1(self, capsys):
+        code, body = run_json(capsys, "search", "--n", "2", "--budget", str(HUGE))
+        assert code == 1
+        assert body["error"]["type"] == "ValueError"
+        assert body["error"]["message"] == f"budget must be <= {MAX_BUDGET}"
 
     def test_best_out_is_a_usage_error(self, capsys, tmp_path):
         with pytest.raises(SystemExit) as exc_info:
@@ -512,8 +518,20 @@ class TestErrors:
         assert code == 1
         error = json.loads(captured.out)["error"]
         assert error["exit_code"] == 1
+        assert error["type"] == "ValueError"
         assert "too large" in error["message"]
         assert captured.err == ""
+
+    def test_memory_error_is_exit_1(self, capsys, monkeypatch):
+        # planted: a real n = 10**6 block would ask for 7.28 TiB
+        def out_of_memory(n):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+        monkeypatch.setattr(lp_extremal.cli, "build_configuration", out_of_memory)
+        code, body = run_json(capsys, "construct", "--n", "1000000")
+        assert code == 1
+        assert body["error"] == {"type": "MemoryError", "exit_code": 1,
+                                 "message": "Unable to allocate 7.28 TiB for an array"}
 
     def test_non_finite_diagnostics_are_written_as_text(self, capsys, tmp_path, monkeypatch):
         # no input is known to give radon_partition's power-of-two scaled sums

@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import json
 import math
 
 import mpmath
@@ -17,7 +19,6 @@ from lp_extremal.construct import (
     f_eval,
     solve_alpha,
     _bisect_newton,
-    solve_system,
 )
 from lp_extremal.errors import NumericalBreakdown
 from lp_extremal.lpgeom import Configuration, distance, is_equilateral, ratio_report
@@ -193,19 +194,19 @@ class TestSolveAlpha:
 
 class TestSolveSystem:
     def test_k1_closed_form(self):
-        sol = solve_system(1)
+        sol = ConstructionSolution(1)
         assert sol.x == pytest.approx(X_1, abs=1e-12)
         assert sol.y == pytest.approx(Y_1, abs=1e-12)
         assert sol.alpha_root == pytest.approx(ALPHA_1, abs=1e-12)
 
     def test_k3_exact_rational_point(self):
-        sol = solve_system(3)
+        sol = ConstructionSolution(3)
         assert sol.x == pytest.approx(-0.5, abs=1e-13)
         assert sol.y == pytest.approx(0.5, abs=1e-13)
 
     def test_residuals_and_branch_across_k(self):
         for k in K_GRID:
-            sol = solve_system(k)
+            sol = ConstructionSolution(k)
             assert sol.x < 0.0 < sol.y
             assert sol.residual1 <= 1e-10
             assert sol.residual2 <= 1e-10
@@ -216,45 +217,63 @@ class TestSolveSystem:
         worst = 0.0
         gaps_along_grid = []
         for k in [100, 1000, 10_000, 100_000]:
-            gaps = solve_system(k).asymptotic_gaps()
+            gaps = ConstructionSolution(k).asymptotic_gaps()
             gaps_along_grid.append(max(gaps.values()))
             worst = max(worst, *gaps.values())
         assert worst <= 10.0
         # non-exploding: the last grid point is no worse than 2x the peak so far
         assert gaps_along_grid[-1] <= 2.0 * max(gaps_along_grid[:-1] + [1.0])
 
-    def test_validation_rejects_wrong_branch(self):
-        sol = solve_system(2)
-        with pytest.raises(ValueError, match="branch must satisfy"):
-            # so y = x - alpha_root is -sol.y
-            ConstructionSolution(k=2, x=sol.alpha_root - sol.y, alpha_root=sol.alpha_root)
-        with pytest.raises(ValueError, match="equation residuals"):
-            ConstructionSolution(k=2, x=sol.x + 1e-9, alpha_root=sol.alpha_root)
+    def test_validation_rejects_wrong_branch(self, monkeypatch):
+        sol = ConstructionSolution(2)
+        construct = lp_extremal.construct
+        monkeypatch.setattr(construct, "solve_alpha", lambda k: sol.alpha_root)
+        # a planted x on the other branch, where y = x - alpha_root is -sol.y
+        monkeypatch.setattr(construct, "_bisect_newton", lambda *args: sol.alpha_root - sol.y)
+        with pytest.raises(NumericalBreakdown, match="branch must satisfy") as exc_info:
+            ConstructionSolution(2)
+        assert exc_info.value.diagnostics["y"] == pytest.approx(-sol.y)
+        monkeypatch.setattr(construct, "_bisect_newton", lambda *args: sol.x + 1e-9)
+        with pytest.raises(NumericalBreakdown, match="equation residuals exceed") as exc_info:
+            ConstructionSolution(2)
+        assert exc_info.value.diagnostics["residual1"] > 1e-10
 
     @pytest.mark.parametrize(
-        "change, message",
+        "plant, message",
         [
-            (lambda sol: {"alpha_root": -(2.0 ** -0.25)}, "alpha_root must lie below"),
+            (lambda sol: sol.alpha_root + 1e-9, "equation residuals exceed"),
             # small enough that both equation residuals stay below 1e-10
-            (lambda sol: {"alpha_root": sol.alpha_root + 1e-11}, "misses \\(2/k\\)\\^\\(1/4\\) by more"),
+            (lambda sol: sol.alpha_root + 2e-12, "misses \\(2/k\\)\\^\\(1/4\\) by more"),
         ],
     )
-    def test_validation_rejects_inconsistent_fields(self, change, message):
-        sol = solve_system(2)
-        with pytest.raises(ValueError, match=message):
-            dataclasses.replace(sol, **change(sol))
+    def test_validation_rejects_inconsistent_fields(self, plant, message, monkeypatch):
+        # x is solved against a planted alpha, so only alpha's own checks fail
+        sol = ConstructionSolution(2)
+        alpha = plant(sol)
+        monkeypatch.setattr(lp_extremal.construct, "solve_alpha", lambda k: alpha)
+        with pytest.raises(NumericalBreakdown, match=message) as exc_info:
+            ConstructionSolution(2)
+        diag = exc_info.value.diagnostics
+        assert diag["alpha_root"] == alpha
+        assert list(diag) == [f.name for f in dataclasses.fields(ConstructionSolution)]
 
     def test_y_is_computed_from_x_and_alpha_root(self):
-        sol = solve_system(2)
+        sol = ConstructionSolution(2)
         assert sol.y == sol.x - sol.alpha_root
-        moved = dataclasses.replace(sol, x=math.nextafter(sol.x, 0.0))
-        assert moved.y == moved.x - moved.alpha_root
         init = [f.name for f in dataclasses.fields(ConstructionSolution) if f.init]
-        assert init == ["k", "x", "alpha_root"]
+        assert init == ["k"]
         with pytest.raises(TypeError, match="'y'"):
-            ConstructionSolution(**{name: getattr(sol, name) for name in init}, y=sol.y)
+            ConstructionSolution(k=2, y=sol.y)
         with pytest.raises(ValueError, match="init=False"):
             dataclasses.replace(sol, y=sol.y)
+
+    def test_payloads_keep_their_bytes(self):
+        # every float is written in its shortest round-trip form, so the digest
+        # pins every bit; it was taken with glibc's libm on x86-64, and another
+        # libm may round pow, and so the fourth powers and roots, differently
+        payload = json.dumps([ConstructionSolution(k).to_dict() for k in range(1, 257)])
+        digest = hashlib.sha256(payload.encode()).hexdigest()
+        assert digest == "cd0fe232d2bb8c0ac9452576a4c32de91e641d660abfb7cf14c0a83333e21925"
 
 
 class TestBuildConfiguration:
@@ -314,7 +333,7 @@ class TestBuildConfiguration:
 
     def test_within_block_is_equilateral(self):
         for k in [1, 2, 3, 10]:
-            sol = solve_system(k)
+            sol = ConstructionSolution(k)
             block = np.full((k + 1, k), sol.x)
             np.fill_diagonal(block[:k], 1.0 + sol.x)
             block[k] = sol.y
@@ -335,7 +354,7 @@ class TestBuildConfiguration:
             build_configuration(2.5)
 
     def test_bool_is_not_an_integer(self):
-        for call in (build_configuration, solve_system, solve_alpha, lambda k: f_eval(0.0, k)):
+        for call in (build_configuration, ConstructionSolution, solve_alpha, lambda k: f_eval(0.0, k)):
             with pytest.raises(ValueError, match="must be an integer, got True"):
                 call(True)
 
@@ -343,4 +362,4 @@ class TestBuildConfiguration:
         built = build_configuration(np.int64(5))
         assert built.config.points.shape == (7, 5)
         assert np.array_equal(built.config.points, build_configuration(5).config.points)
-        assert solve_system(np.int32(3)) == solve_system(3)
+        assert ConstructionSolution(np.int32(3)) == ConstructionSolution(3)

@@ -20,7 +20,8 @@ def test_demo_exits_0(script, tmp_path):
         "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])),
     }
     proc = subprocess.run(
-        [sys.executable, str(script)], capture_output=True, text=True, env=env, cwd=tmp_path,
-        timeout=120,
+        # a numpy overflow or underflow warning fails a demo, as it fails a test
+        [sys.executable, "-W", "error::RuntimeWarning", str(script)], capture_output=True,
+        text=True, env=env, cwd=tmp_path, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]

@@ -3,7 +3,6 @@ from the others; every other field is computed from them, so a record
 cannot carry a value that contradicts its inputs."""
 
 import dataclasses
-import math
 
 import numpy as np
 import pytest
@@ -21,13 +20,13 @@ from lp_extremal import (
     build_configuration,
     radon_partition,
     ratio_report,
-    solve_system,
 )
+from lp_extremal.errors import NumericalBreakdown
 
 INIT_FIELDS = {
     "BoundRow": ["n", "p"],
     "BoundTable": ["rows"],
-    "ConstructionSolution": ["k", "x", "alpha_root"],
+    "ConstructionSolution": ["k"],
     "BuiltConfiguration": ["solution_even_part", "solution_odd_part"],
     "Configuration": ["points", "p"],
     "RatioReport": ["max_dist", "min_dist", "argmax_pair", "argmin_pair"],
@@ -43,7 +42,7 @@ UNIT_SQUARE = Configuration([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]], 4.
 #: Two records of each kind with derived fields, which differ in every derived field.
 RECORD_PAIRS = {
     "BoundRow": lambda: (BoundRow(3, 4.0), BoundRow(4, 2.0)),
-    "ConstructionSolution": lambda: (solve_system(2), solve_system(5)),
+    "ConstructionSolution": lambda: (ConstructionSolution(2), ConstructionSolution(5)),
     "BuiltConfiguration": lambda: (build_configuration(4), build_configuration(5)),
     "RatioReport": lambda: (
         RatioReport(2.0, 1.0, (0, 1), (0, 2)), ratio_report(build_configuration(3).config)
@@ -73,7 +72,7 @@ def test_init_fields_are_exactly_the_inputs():
     fields = {name: dataclasses.fields(cls) for name, cls in records.items()}
     init = {name: [f.name for f in fs if f.init] for name, fs in fields.items()}
     assert init == INIT_FIELDS
-    assert sum(map(len, init.values())) == 32
+    assert sum(map(len, init.values())) == 30
     assert {name for name, fs in fields.items() if not all(f.init for f in fs)} == set(RECORD_PAIRS)
 
 
@@ -92,26 +91,25 @@ def test_derived_fields_are_computed_not_passed(name):
 
 
 class TestContradictionsAreRejected:
-    def test_construction_residuals_are_computed_from_x_and_alpha_root(self):
-        # residual1 of this record is 7.03, whatever a caller would claim
-        with pytest.raises(ValueError, match="equation residuals 7.02"):
-            ConstructionSolution(k=2, x=-0.1, alpha_root=-1.5)
+    def test_construction_residuals_are_computed_from_x_and_alpha_root(self, monkeypatch):
+        # residual1 of a planted solver output is 7.027, computed, not claimed
+        monkeypatch.setattr(lp_extremal.construct, "solve_alpha", lambda k: -1.5)
+        monkeypatch.setattr(lp_extremal.construct, "_bisect_newton", lambda *args: -0.1)
+        with pytest.raises(NumericalBreakdown, match="equation residuals exceed") as exc_info:
+            ConstructionSolution(2)
+        assert exc_info.value.diagnostics["residual1"] == pytest.approx(7.027)
 
     @pytest.mark.parametrize(
         "inputs, message",
         [
             ({"k": "2"}, "k must be an integer"),
             ({"k": True}, "k must be an integer"),
-            ({"x": math.nan}, "x must be a finite number"),
-            ({"alpha_root": -math.inf}, "alpha_root must be a finite number"),
-            # the fourth powers overflow, so the residuals are infinite
-            ({"x": -1e100, "alpha_root": -2e100}, "equation residuals inf, inf"),
+            ({"k": 10 ** 400}, "k is too large for a float"),
         ],
     )
     def test_construction_inputs_are_checked(self, inputs, message):
-        sol = solve_system(2)
         with pytest.raises(ValueError, match=message):
-            ConstructionSolution(**{"k": 2, "x": sol.x, "alpha_root": sol.alpha_root, **inputs})
+            ConstructionSolution(**inputs)
 
     def test_bound_row_follows_the_bound_rules(self):
         with pytest.raises(ValueError, match="proven only for p in"):
@@ -122,10 +120,10 @@ class TestContradictionsAreRejected:
 
     def test_built_configuration_needs_the_next_odd_block(self):
         with pytest.raises(ValueError, match="odd part solves k = 2"):
-            BuiltConfiguration(solve_system(2), solve_system(2))
+            BuiltConfiguration(ConstructionSolution(2), ConstructionSolution(2))
         with pytest.raises(ValueError, match="ConstructionSolution records"):
-            BuiltConfiguration(solve_system(2), "odd")
-        built = BuiltConfiguration(solve_system(2), solve_system(3))
+            BuiltConfiguration(ConstructionSolution(2), "odd")
+        built = BuiltConfiguration(ConstructionSolution(2), ConstructionSolution(3))
         assert built.to_dict() == build_configuration(5).to_dict()
 
     def test_search_result_on_the_unit_square_sits_on_the_bound(self):

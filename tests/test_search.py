@@ -13,7 +13,7 @@ from lp_extremal.construct import build_configuration
 from lp_extremal.errors import NumericalBreakdown
 from lp_extremal.lpgeom import Configuration, ratio_report
 from lp_extremal.radon import audit_chain, radon_partition
-from lp_extremal.search import minimize_ratio
+from lp_extremal.search import MAX_BUDGET, minimize_ratio
 
 FOURTH_ROOT_2 = 2.0 ** 0.25
 
@@ -195,6 +195,16 @@ class TestSeeds:
             minimize_ratio(1, 10, "auto", 0)
         with pytest.raises(ValueError):
             minimize_ratio(2, 0, "auto", 0)
+
+    def test_budget_above_the_cap_is_refused_before_any_work(self, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("a refused budget starts no search")
+
+        monkeypatch.setattr(lp_extremal.search, "build_configuration", no_work)
+        monkeypatch.setattr(lp_extremal.search, "_run_restart", no_work)
+        for budget in (MAX_BUDGET + 1, 10 ** 400):
+            with pytest.raises(ValueError, match=f"budget must be <= {MAX_BUDGET}"):
+                minimize_ratio(2, budget, "auto", 0)
 
     def test_integer_arguments_follow_one_rule(self):
         base = minimize_ratio(3, 50, "auto", 0)

@@ -10,7 +10,7 @@ norm-equivalence factor n^{|1/4 - 1/p|}.
 import math
 from dataclasses import dataclass, field
 
-from lp_extremal.lpgeom import _check_int, _check_real
+from lp_extremal.lpgeom import _assign, _check_int, _check_real
 
 __all__ = [
     "schuette_bound",
@@ -39,7 +39,7 @@ def schuette_bound(n, p) -> float:
         odd n.  Strictly decreasing in n, always > 1.
     """
     n = _check_int(n, "dimension", 1)
-    _check_real(n, "dimension")
+    p = _check_real(p, "norm exponent", 1)
     if p not in (2, 4):
         raise ValueError(f"bound is proven only for p in {{2, 4}}, got {p!r}")
     if n % 2 == 0:
@@ -60,7 +60,7 @@ def epsilon_threshold(n, center_p) -> float:
     2*center_p / (n ln n) as n grows.
     """
     n = _check_int(n, "dimension", 1)
-    _check_real(n, "dimension")
+    center_p = _check_real(center_p, "norm exponent", 1)
     if center_p not in (2, 4):
         raise ValueError(f"threshold is proven only around p in {{2, 4}}, got {center_p!r}")
     return center_p * math.log1p(2.0 / n) / math.log(n + 2)
@@ -75,7 +75,6 @@ def norm_equivalence_factor(n, p) -> float:
     (and only here) as the 1/p -> 0 limit.
     """
     n = _check_int(n, "dimension", 1)
-    _check_real(n, "dimension")
     inv_p = 0.0 if p == math.inf else 1.0 / _check_real(p, "norm exponent", 1)
     return float(n) ** abs(0.25 - inv_p)
 
@@ -91,8 +90,8 @@ class BoundRow:
     epsilon: float = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "bound", schuette_bound(self.n, self.p))
-        object.__setattr__(self, "epsilon", epsilon_threshold(self.n, self.p))
+        p = _check_real(self.p, "norm exponent", 1)
+        _assign(self, p=p, bound=schuette_bound(self.n, p), epsilon=epsilon_threshold(self.n, p))
 
     def to_dict(self) -> dict:
         return {"n": self.n, "p": self.p, "bound": self.bound, "epsilon": self.epsilon}
@@ -126,4 +125,4 @@ def bound_sweep(n_start, n_end, p) -> BoundTable:
         raise ValueError(f"empty sweep range {n_start}..{n_end}")
     if n_end - n_start + 1 > MAX_SWEEP_ROWS:
         raise ValueError(f"sweep range {n_start}..{n_end} has more than {MAX_SWEEP_ROWS} rows")
-    return BoundTable(tuple(BoundRow(n, float(p)) for n in range(n_start, n_end + 1)))
+    return BoundTable(tuple(BoundRow(n, p) for n in range(n_start, n_end + 1)))

@@ -80,7 +80,7 @@ def _load_json_file(path: str) -> dict:
             data = json.load(fh)
     except OSError as exc:
         raise _InputError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON, bad UTF-8, or nested too deep
         raise _InputError(f"{path} is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise _InputError(f"{path}: expected a JSON object at top level")

@@ -127,7 +127,7 @@ def solve_alpha(k) -> float:
     def dpoly(t):
         return 4.0 * (1.0 + t) ** 3 + 4.0 * (k - 1.0) * t ** 3
 
-    hi = -_check_real(k, "k") ** -0.25
+    hi = -float(k) ** -0.25
     alpha = _bisect_newton(poly, dpoly, -1.0 - 2.0 ** 0.25, hi, "alpha", {"k": k})
     if not alpha < hi:
         raise NumericalBreakdown(

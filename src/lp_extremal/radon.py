@@ -17,8 +17,7 @@ import numpy as np
 
 from lp_extremal.errors import NumericalBreakdown
 from lp_extremal.lpgeom import (
-    Configuration, _as_floats, _as_points, _assign, _check_real, _pair_power_scan,
-    _power_of_two_scaled,
+    Configuration, _as_floats, _assign, _check_real, _pair_power_scan, _power_of_two_scaled,
 )
 
 __all__ = [
@@ -155,11 +154,7 @@ class RadonCertificate:
 
     def __post_init__(self):
         for name in ("weights", "common_point"):
-            arr = _as_floats(getattr(self, name), copy=True, name=name)
-            if arr.ndim != 1:
-                raise ValueError(f"{name} must be a 1-D vector, got shape {arr.shape}")
-            if not all(map(math.isfinite, arr.tolist())):
-                raise ValueError(f"{name} must be finite (no NaN/inf)")
+            arr = _as_floats(getattr(self, name), name, 1)
             arr.setflags(write=False)
             _assign(self, **{name: arr})
         pos = self.weights > 0
@@ -203,7 +198,7 @@ def radon_partition(points) -> RadonCertificate:
     coordinate in that frame, so the verdict does not change when the
     points are scaled; beyond it, NumericalBreakdown.
     """
-    pts = _as_points(points)
+    pts = _as_floats(points, "coordinates", 2)
     m, n = pts.shape
     if m != n + 2:
         raise ValueError(f"need exactly n+2 = {n + 2} points in R^{n}, got {m}")

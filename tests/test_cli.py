@@ -237,7 +237,7 @@ class TestSearch:
         code, body = run_json(capsys, "search", "--n", "2", "--budget", str(HUGE))
         assert code == 1
         assert body["error"]["type"] == "ValueError"
-        assert body["error"]["message"] == f"budget must be <= {MAX_BUDGET}"
+        assert body["error"]["message"] == "budget is too large for a float"
 
     def test_best_out_is_a_usage_error(self, capsys, tmp_path):
         with pytest.raises(SystemExit) as exc_info:
@@ -379,6 +379,23 @@ class TestErrors:
         code, body = run_json(capsys, "certify", str(bad))
         assert code == 2
         assert "not valid JSON" in body["error"]["message"]
+
+    @pytest.mark.parametrize("content", [
+        b'{"p": 4, "points": ' + b"[" * 200_000 + b"]" * 200_000 + b"}",
+        b'{"p": 4, "points": [[0, 0], [1, \xff]]}',
+    ], ids=["nested-200000-deep", "byte-0xff"])
+    @pytest.mark.parametrize("command", [
+        ["certify"], ["audit"], ["check-equilateral"],
+        ["search", "--n", "2", "--budget", "10", "--from"],
+    ], ids=lambda command: command[0])
+    def test_undecodable_file_is_exit_2(self, capsys, tmp_path, command, content):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        code, out = run(capsys, *command, str(bad))
+        assert code == 2
+        assert out.count("\n") == 1
+        error = json.loads(out)["error"]
+        assert error["exit_code"] == 2 and "not valid JSON" in error["message"]
 
     def test_missing_fields_is_exit_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"

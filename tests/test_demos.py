@@ -20,8 +20,9 @@ def test_demo_exits_0(script, tmp_path):
         "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])),
     }
     proc = subprocess.run(
-        # a numpy overflow or underflow warning fails a demo, as it fails a test
-        [sys.executable, "-W", "error::RuntimeWarning", str(script)], capture_output=True,
-        text=True, env=env, cwd=tmp_path, timeout=120,
+        # a numpy overflow or underflow warning, or a deprecation, fails a demo as it fails a test
+        [sys.executable, "-W", "error::RuntimeWarning", "-W", "error::DeprecationWarning",
+         "-W", "error::PendingDeprecationWarning", str(script)],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]

@@ -80,7 +80,7 @@ class TestPNorm:
 
     @pytest.mark.parametrize("v", [[], [[1.0, 2.0]]])
     def test_rejects_empty_or_non_vector_input(self, v):
-        with pytest.raises(ValueError, match="non-empty 1-D coordinate vector"):
+        with pytest.raises(ValueError, match="coordinates must be a non-empty 1-D array"):
             p_norm(v, 4)
 
     def test_matches_bruteforce_on_random(self):

@@ -214,7 +214,7 @@ class TestCertificateBound:
     @pytest.mark.parametrize(
         "fields, message",
         [
-            ({"weights": []}, "both sides of the partition must be non-empty"),
+            ({"weights": []}, "weights must be a non-empty 1-D array"),
             ({"weights": [-1.0]}, "both sides of the partition must be non-empty"),
             ({"weights": [1.0, 0.0]}, "both sides of the partition must be non-empty"),
         ],
@@ -271,9 +271,9 @@ class TestCertificateInputRules:
             ({"weights": [1.0, -0.5 + 0j, -0.5]}, "weights must be numbers"),
             ({"weights": [1.0, {}, -0.5]}, "weights must be numbers"),
             ({"weights": [10**400, -1.0]}, "weights must be numbers.*too large"),
-            ({"weights": [[1.0, -1.0]]}, "weights must be a 1-D vector"),
-            ({"weights": 1.0}, "weights must be a 1-D vector"),
-            ({"common_point": [[0.0]]}, "common_point must be a 1-D vector"),
+            ({"weights": [[1.0, -1.0]]}, "weights must be a non-empty 1-D array"),
+            ({"weights": 1.0}, "weights must be a non-empty 1-D array"),
+            ({"common_point": [[0.0]]}, "common_point must be a non-empty 1-D array"),
             ({"common_point": [0.0, 1j]}, "common_point must be numbers"),
             ({"residual": -1}, "residual must be a finite number >= 0"),
             ({"residual": math.nan}, "residual must be a finite number >= 0"),

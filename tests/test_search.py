@@ -202,8 +202,9 @@ class TestSeeds:
 
         monkeypatch.setattr(lp_extremal.search, "build_configuration", no_work)
         monkeypatch.setattr(lp_extremal.search, "_run_restart", no_work)
-        for budget in (MAX_BUDGET + 1, 10 ** 400):
-            with pytest.raises(ValueError, match=f"budget must be <= {MAX_BUDGET}"):
+        for budget, message in ((MAX_BUDGET + 1, f"budget must be <= {MAX_BUDGET}"),
+                                (10 ** 400, "budget is too large for a float")):
+            with pytest.raises(ValueError, match=message):
                 minimize_ratio(2, budget, "auto", 0)
 
     def test_integer_arguments_follow_one_rule(self):

@@ -90,8 +90,8 @@ class BoundRow:
     epsilon: float = field(init=False)
 
     def __post_init__(self):
-        p = _check_real(self.p, "norm exponent", 1)
-        _assign(self, p=p, bound=schuette_bound(self.n, p), epsilon=epsilon_threshold(self.n, p))
+        n, p = _check_int(self.n, "dimension", 1), _check_real(self.p, "norm exponent", 1)
+        _assign(self, n=n, p=p, bound=schuette_bound(n, p), epsilon=epsilon_threshold(n, p))
 
     def to_dict(self) -> dict:
         return {"n": self.n, "p": self.p, "bound": self.bound, "epsilon": self.epsilon}

@@ -115,12 +115,12 @@ def _parse_sweep(text: str):
 
 def _cmd_bound(args):
     p = args.p
+    if (args.n is None) == (args.sweep is None):
+        raise ValueError("bound needs exactly one of --n or --sweep")
     if args.sweep is not None:
         lo, hi = _parse_sweep(args.sweep)
         table = bound_sweep(lo, hi, p)
         return table.to_dict(), table.to_csv()
-    if args.n is None:
-        raise ValueError("bound needs either --n or --sweep")
     if args.csv:
         raise ValueError("CSV output is only available for 'bound --sweep'")
     row = bound_sweep(args.n, args.n, p).rows[0]

@@ -213,30 +213,27 @@ def _equilateral_block(sol: ConstructionSolution) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BuiltConfiguration:
-    """An assembled n+2 point configuration, built from its block solutions.
+    """The assembled n+2 point configuration for dimension n.
 
-    solution_even_part always holds the k-block solution; for odd n a
-    second, (k+1)-dimensional block is used and solution_odd_part holds
-    its solution (None for even n).  Computed from them: config, the two
-    blocks on orthogonal coordinate groups, and expected_ratio, the
-    closed-form ratio implied by the block norms, which matches
-    ratio_report on config to within accumulation error.
+    Computed from n: solution_even_part, the k-block solution for k = n // 2;
+    for odd n, solution_odd_part, the (k+1)-block solution (None for even
+    n); config, the two blocks on orthogonal coordinate groups; and
+    expected_ratio, the closed-form ratio implied by the block norms, which
+    matches ratio_report on config to within accumulation error.
     """
 
+    n: int
     config: Configuration = field(init=False)
     expected_ratio: float = field(init=False)
-    solution_even_part: ConstructionSolution
-    solution_odd_part: Optional[ConstructionSolution] = None
+    solution_even_part: ConstructionSolution = field(init=False)
+    solution_odd_part: Optional[ConstructionSolution] = field(init=False)
 
     def __post_init__(self):
-        sol_a, odd = self.solution_even_part, self.solution_odd_part
+        n = _check_int(self.n, "n", 2)
+        k = n // 2
+        sol_a = ConstructionSolution(k)
+        odd = ConstructionSolution(k + 1) if n % 2 else None
         sol_b = sol_a if odd is None else odd
-        if not all(isinstance(sol, ConstructionSolution) for sol in (sol_a, sol_b)):
-            raise ValueError("the block solutions must be ConstructionSolution records")
-        k = sol_a.k
-        if odd is not None and odd.k != k + 1:
-            raise ValueError(f"the odd part solves k = {odd.k}, not the even part's k + 1")
-        n = k + sol_b.k
         pts = np.zeros((n + 2, n))
         pts[: k + 1, :k] = _equilateral_block(sol_a)  # k+1 points in R^k
         pts[k + 1 :, k:] = _equilateral_block(sol_b)  # n-k+1 points in R^{n-k}
@@ -246,7 +243,8 @@ class BuiltConfiguration:
         else:
             # cross distance^4 = 2 k y^4, within = 2; ratio = 1 / (k^{1/4} y)
             expected = 1.0 / (float(k) ** 0.25 * sol_a.y)
-        _assign(self, config=Configuration(pts, 4.0), expected_ratio=expected)
+        _assign(self, n=n, config=Configuration(pts, 4.0), expected_ratio=expected,
+                solution_even_part=sol_a, solution_odd_part=odd)
 
     def to_dict(self) -> dict:
         """The configuration's wire format plus the solver provenance under
@@ -270,6 +268,4 @@ def build_configuration(n) -> BuiltConfiguration:
     within-block distance is 2^{1/4}; the cross-block distance is
     smaller, so the ratio is 2^{1/4} / cross = 1 + sqrt(2/n) + O(n^{-3/4}).
     """
-    n = _check_int(n, "n", 2)
-    even = ConstructionSolution(n // 2)
-    return BuiltConfiguration(even, ConstructionSolution(n // 2 + 1) if n % 2 else None)
+    return BuiltConfiguration(n)

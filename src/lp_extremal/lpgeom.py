@@ -55,12 +55,12 @@ def _assign(record, **values) -> None:
 
 
 def _check_real(value, name: str, minimum: float = -math.inf) -> float:
-    """``value`` as a float, finite and >= ``minimum``.  A bool, a string or a numpy
-    complex (whose imaginary part float() drops) is not a number, and an int beyond
-    the float range is too large."""
+    """``value`` as a float, finite and >= ``minimum``.  A bool, a string, a numpy complex
+    (float() drops its imaginary part) or an array with ndim > 0 (numpy before 1.25 let
+    float() take its element) is not a number; an int beyond the float range is too large."""
     try:
-        if type(value) is not float and isinstance(value, (bool, np.bool_, str, bytes,
-                                                           np.complexfloating)):
+        if type(value) is not float and (getattr(value, "ndim", 0) or isinstance(
+                value, (bool, np.bool_, str, bytes, np.complexfloating))):
             raise TypeError
         x = float(value)
     except OverflowError:
@@ -101,6 +101,18 @@ def _as_floats(values, name: str, ndim: int) -> np.ndarray:
     if not finite:
         raise ValueError(f"{name} must be finite (no NaN/inf)")
     return arr
+
+
+def _check_instance(config, name: str, n: Optional[int] = None) -> int:
+    """The dimension of ``config``, an instance of the theorem: a Configuration of n + 2
+    points in R^n with p = 4, where n is the given ``n`` if there is one.  Anything else
+    has shape (0, 0), so it fails the count before p is read, and is named by its type."""
+    m, d = config.points.shape if isinstance(config, Configuration) else (0, 0)
+    if m == d + 2 and config.p == 4.0 and n in (None, d):
+        return d
+    given = f"{m} points in R^{d} with p = {config.p}" if m else type(config).__name__
+    asked = "n+2 points in R^n" if n is None else f"{n + 2} points in R^{n}"
+    raise ValueError(f"{name} must be {asked} with p = 4, got {given}")
 
 
 def p_norm(v, p) -> float:

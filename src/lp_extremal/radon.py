@@ -17,7 +17,8 @@ import numpy as np
 
 from lp_extremal.errors import NumericalBreakdown
 from lp_extremal.lpgeom import (
-    Configuration, _as_floats, _assign, _check_real, _pair_power_scan, _power_of_two_scaled,
+    Configuration, _as_floats, _assign, _check_instance, _check_real, _pair_power_scan,
+    _power_of_two_scaled,
 )
 
 __all__ = [
@@ -354,11 +355,7 @@ def audit_chain(config: Configuration, cert: RadonCertificate) -> ChainAudit:
     NumericalBreakdown: the chain is a theorem, so a violation means
     degenerate numerics or an implementation bug, not a counterexample.
     """
-    if config.p != 4.0:
-        raise ValueError(f"the certificate chain is specific to p = 4, got p = {config.p}")
-    m, n = config.points.shape
-    if m != n + 2:
-        raise ValueError(f"need exactly n+2 = {n + 2} points, got {m}")
+    m = _check_instance(config, "config") + 2
     if cert.weights.size != m:
         raise ValueError(f"the certificate has {cert.weights.size} weights for {m} points")
 

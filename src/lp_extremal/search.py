@@ -20,7 +20,7 @@ from lp_extremal.bounds import schuette_bound
 from lp_extremal.construct import build_configuration
 from lp_extremal.errors import NumericalBreakdown
 from lp_extremal.lpgeom import (
-    Configuration, _assign, _check_int, _pair_power_scan, _pair_sums, ratio_report
+    Configuration, _assign, _check_instance, _check_int, _pair_power_scan, _pair_sums, ratio_report
 )
 
 __all__ = ["SearchResult", "minimize_ratio"]
@@ -58,12 +58,12 @@ class SearchResult:
     rng_seed: int
 
     def __post_init__(self):
-        cfg = self.best_config
-        if not (isinstance(cfg, Configuration) and cfg.p == 4.0
-                and cfg.size == cfg.points.shape[1] + 2):
-            raise ValueError("best_config must be a Configuration of n+2 points in R^n with p = 4")
-        best_ratio = ratio_report(cfg).ratio
-        bound = schuette_bound(cfg.points.shape[1], 4)
+        _assign(self, restarts=_check_int(self.restarts, "restarts", 1),
+                evaluations=_check_int(self.evaluations, "evaluations", 1),
+                rng_seed=_check_int(self.rng_seed, "rng_seed", 0))
+        n = _check_instance(self.best_config, "best_config")
+        best_ratio = ratio_report(self.best_config).ratio
+        bound = schuette_bound(n, 4)
         _assign(self, best_ratio=best_ratio, bound=bound, gap=best_ratio - bound)
 
     def to_dict(self) -> dict:
@@ -182,14 +182,7 @@ def minimize_ratio(n, budget, seeds="auto", rng_seed=0) -> SearchResult:
         if not seeds:
             raise ValueError("explicit seed list is empty")
         for cfg in seeds:
-            if not isinstance(cfg, Configuration):
-                raise ValueError("explicit seeds must be Configuration objects")
-            if cfg.p != 4.0:
-                raise ValueError(f"search is specific to p = 4, got p = {cfg.p}")
-            if cfg.points.shape != (n + 2, n):
-                raise ValueError(
-                    f"seed shape {cfg.points.shape} does not match (n+2, n) = {(n + 2, n)}"
-                )
+            _check_instance(cfg, "each seed", n)
         seed_arrays = [cfg.points for cfg in seeds]
     walk_keys = ss.spawn(len(seed_arrays))
 

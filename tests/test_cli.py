@@ -94,6 +94,12 @@ class TestBound:
         assert body["error"]["type"] == "ValueError"
         assert "--n or --sweep" in body["error"]["message"]
 
+    def test_n_and_sweep_together_are_refused(self, capsys):
+        code, body = run_json(capsys, "bound", "--n", "5", "--sweep", "2..3")
+        assert code == 1
+        assert body["error"]["type"] == "ValueError"
+        assert body["error"]["message"] == "bound needs exactly one of --n or --sweep"
+
     def test_bad_sweep_spec(self, capsys):
         code, body = run_json(capsys, "bound", "--sweep", "2-6")
         assert code == 1
@@ -629,7 +635,44 @@ def readme_commands():
     return commands
 
 
+def readme_library_results():
+    """{expression: (value, comment)} of each commented expression line of the
+    README's Library block, evaluated after the whole block has run."""
+    section = README.read_text(encoding="utf-8").split("## Library", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(block, namespace)
+    results = {}
+    for line in block.splitlines():
+        code, _, comment = line.partition("#")
+        try:
+            expression = compile(code.strip(), "README.md", "eval")
+        except SyntaxError:
+            continue  # an import or an assignment
+        if comment:
+            results[code.strip()] = (eval(expression, namespace), comment.strip())
+    return results
+
+
 class TestReadme:
+    def test_library_example_runs_with_its_comments(self):
+        results = readme_library_results()
+        assert {code: comment for code, (_, comment) in results.items()} == {
+            "ratio_report(square).ratio": "1.189207115002721 = 2**0.25",
+            "schuette_bound(2, 4)": "same value: the square is optimal",
+            "cert.certificate": "2.0, a lower bound on ratio**4",
+            "audit_chain(square, cert).all_hold()": "True, with zero slack here",
+            "built.expected_ratio": "1.1032800609...",
+            "res.best_ratio": "~ 2**0.25 + 3e-4",
+        }
+        value = {code: v for code, (v, _) in results.items()}
+        assert value["ratio_report(square).ratio"] == 1.189207115002721
+        assert value["schuette_bound(2, 4)"] == 1.189207115002721
+        assert value["cert.certificate"] == 2.0
+        assert value["audit_chain(square, cert).all_hold()"] is True
+        assert repr(value["built.expected_ratio"]).startswith("1.1032800609")
+        assert 0.0 <= value["res.best_ratio"] - 2 ** 0.25 < 1e-3
+
     def test_command_line_examples_run_in_order(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         commands = readme_commands()

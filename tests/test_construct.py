@@ -275,6 +275,13 @@ class TestSolveSystem:
         digest = hashlib.sha256(payload.encode()).hexdigest()
         assert digest == "cd0fe232d2bb8c0ac9452576a4c32de91e641d660abfb7cf14c0a83333e21925"
 
+    def test_built_configuration_payloads_keep_their_bytes(self):
+        # the points, the expected ratio and both block solutions of n = 2..65,
+        # under the same libm caveat as the block solutions above
+        payload = json.dumps([build_configuration(n).to_dict() for n in range(2, 66)])
+        digest = hashlib.sha256(payload.encode()).hexdigest()
+        assert digest == "e47b03f7d5f1dbd0f2c3bc926f4520d1409fe6dc4e97ebda323fd86aa23033a8"
+
 
 class TestBuildConfiguration:
     def test_n2_matches_hand_arithmetic(self):

@@ -367,7 +367,8 @@ class TestAuditChain:
     def test_rejects_a_certificate_that_does_not_fit_the_configuration(self):
         cert = radon_partition(UNIT_SQUARE)
         five = np.vstack([UNIT_SQUARE, [[0.5, 0.25]]])
-        with pytest.raises(ValueError, match="need exactly n\\+2 = 4 points, got 5"):
+        with pytest.raises(ValueError, match="config must be n\\+2 points in R\\^n with p = 4, "
+                                             "got 5 points in R\\^2 with p = 4.0"):
             audit_chain(Configuration(five, 4.0), cert)
         longer = dataclasses.replace(cert, weights=np.append(cert.weights, 0.0))
         with pytest.raises(ValueError, match="5 weights for 4 points"):

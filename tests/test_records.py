@@ -27,7 +27,7 @@ INIT_FIELDS = {
     "BoundRow": ["n", "p"],
     "BoundTable": ["rows"],
     "ConstructionSolution": ["k"],
-    "BuiltConfiguration": ["solution_even_part", "solution_odd_part"],
+    "BuiltConfiguration": ["n"],
     "Configuration": ["points", "p"],
     "RatioReport": ["max_dist", "min_dist", "argmax_pair", "argmin_pair"],
     # certificate is derived too, but a caller may plant a value by keyword
@@ -43,7 +43,7 @@ UNIT_SQUARE = Configuration([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]], 4.
 RECORD_PAIRS = {
     "BoundRow": lambda: (BoundRow(3, 4.0), BoundRow(4, 2.0)),
     "ConstructionSolution": lambda: (ConstructionSolution(2), ConstructionSolution(5)),
-    "BuiltConfiguration": lambda: (build_configuration(4), build_configuration(5)),
+    "BuiltConfiguration": lambda: (build_configuration(4), build_configuration(7)),
     "RatioReport": lambda: (
         RatioReport(2.0, 1.0, (0, 1), (0, 2)), ratio_report(build_configuration(3).config)
     ),
@@ -72,7 +72,7 @@ def test_init_fields_are_exactly_the_inputs():
     fields = {name: dataclasses.fields(cls) for name, cls in records.items()}
     init = {name: [f.name for f in fs if f.init] for name, fs in fields.items()}
     assert init == INIT_FIELDS
-    assert sum(map(len, init.values())) == 30
+    assert sum(map(len, init.values())) == 29
     assert {name for name, fs in fields.items() if not all(f.init for f in fs)} == set(RECORD_PAIRS)
 
 
@@ -118,13 +118,12 @@ class TestContradictionsAreRejected:
             BoundRow(0, 4.0)
         assert BoundRow(3, 4.0) == bound_sweep(3, 3, 4).rows[0]
 
-    def test_built_configuration_needs_the_next_odd_block(self):
-        with pytest.raises(ValueError, match="odd part solves k = 2"):
-            BuiltConfiguration(ConstructionSolution(2), ConstructionSolution(2))
-        with pytest.raises(ValueError, match="ConstructionSolution records"):
-            BuiltConfiguration(ConstructionSolution(2), "odd")
-        built = BuiltConfiguration(ConstructionSolution(2), ConstructionSolution(3))
-        assert built.to_dict() == build_configuration(5).to_dict()
+    def test_built_configuration_is_built_from_n_alone(self):
+        assert BuiltConfiguration(5).to_dict() == build_configuration(5).to_dict()
+        assert type(BuiltConfiguration(np.int64(5)).n) is int
+        for n, message in [(1, "n must be >= 2"), (5.0, "n must be an integer")]:
+            with pytest.raises(ValueError, match=message):
+                BuiltConfiguration(n)
 
     def test_search_result_on_the_unit_square_sits_on_the_bound(self):
         res = SearchResult(UNIT_SQUARE, restarts=1, evaluations=1, rng_seed=0)

@@ -167,14 +167,16 @@ class TestSeeds:
         )
         with pytest.raises(ValueError, match="p = 4"):
             minimize_ratio(2, 10, [Configuration(square.points, 2.0)], 0)
-        with pytest.raises(ValueError, match="shape"):
+        with pytest.raises(ValueError, match="each seed must be 5 points in R\\^3 with p = 4, "
+                                             "got 4 points in R\\^2 with p = 4.0"):
             minimize_ratio(3, 10, [square], 0)
         with pytest.raises(ValueError, match="empty"):
             minimize_ratio(2, 10, [], 0)
         for seeds in ("car", 5, None):
             with pytest.raises(ValueError, match="seeds must be 'auto' or a list of Configurations"):
                 minimize_ratio(2, 10, seeds, 0)
-        with pytest.raises(ValueError, match="explicit seeds must be Configuration objects"):
+        with pytest.raises(ValueError, match="each seed must be 4 points in R\\^2 with p = 4, "
+                                             "got ndarray"):
             minimize_ratio(2, 10, [np.zeros((4, 2))], 0)
 
     def test_seed_with_an_underflowing_pair_is_not_a_duplicate(self):

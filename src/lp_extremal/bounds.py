@@ -21,6 +21,9 @@ __all__ = [
     "bound_sweep",
 ]
 
+#: Exponents the closed forms are proven for, in the order `check-equilateral` tries them.
+PROVEN_EXPONENTS = (4.0, 2.0)
+
 
 def schuette_bound(n, p) -> float:
     """Lower bound on the distance ratio of any n+2 points in l_p^n.
@@ -38,16 +41,7 @@ def schuette_bound(n, p) -> float:
         (1 + 2/n)^(1/p) for even n, (1 + 2/(n - 1/(n+2)))^(1/p) for
         odd n.  Strictly decreasing in n, always > 1.
     """
-    n = _check_int(n, "dimension", 1)
-    p = _check_real(p, "norm exponent", 1)
-    if p not in (2, 4):
-        raise ValueError(f"bound is proven only for p in {{2, 4}}, got {p!r}")
-    if n % 2 == 0:
-        d = float(n)
-    else:
-        d = n - 1.0 / (n + 2)
-    # log1p keeps full precision in the bound's excess over 1 at large n
-    return math.exp(math.log1p(2.0 / d) / p)
+    return BoundRow(n, p).bound
 
 
 def epsilon_threshold(n, center_p) -> float:
@@ -59,11 +53,7 @@ def epsilon_threshold(n, center_p) -> float:
     Returns center_p * ln(1 + 2/n) / ln(n + 2); positive, and of order
     2*center_p / (n ln n) as n grows.
     """
-    n = _check_int(n, "dimension", 1)
-    center_p = _check_real(center_p, "norm exponent", 1)
-    if center_p not in (2, 4):
-        raise ValueError(f"threshold is proven only around p in {{2, 4}}, got {center_p!r}")
-    return center_p * math.log1p(2.0 / n) / math.log(n + 2)
+    return BoundRow(n, center_p).epsilon
 
 
 def norm_equivalence_factor(n, p) -> float:
@@ -81,8 +71,8 @@ def norm_equivalence_factor(n, p) -> float:
 
 @dataclass(frozen=True)
 class BoundRow:
-    """One sweep row: dimension, exponent, and the computed
-    bound = schuette_bound(n, p) and epsilon = epsilon_threshold(n, p)."""
+    """Dimension n, exponent p in PROVEN_EXPONENTS, and the two closed
+    forms: bound = schuette_bound(n, p) and epsilon = epsilon_threshold(n, p)."""
 
     n: int
     p: float
@@ -91,7 +81,16 @@ class BoundRow:
 
     def __post_init__(self):
         n, p = _check_int(self.n, "dimension", 1), _check_real(self.p, "norm exponent", 1)
-        _assign(self, n=n, p=p, bound=schuette_bound(n, p), epsilon=epsilon_threshold(n, p))
+        if p not in PROVEN_EXPONENTS:
+            raise ValueError(f"bounds are proven only for p in {{2, 4}}, got {p!r}")
+        if n % 2 == 0:
+            d = float(n)
+        else:
+            d = n - 1.0 / (n + 2)
+        # log1p keeps full precision in the bound's excess over 1 at large n
+        bound = math.exp(math.log1p(2.0 / d) / p)
+        epsilon = p * math.log1p(2.0 / n) / math.log(n + 2)
+        _assign(self, n=n, p=p, bound=bound, epsilon=epsilon)
 
     def to_dict(self) -> dict:
         return {"n": self.n, "p": self.p, "bound": self.bound, "epsilon": self.epsilon}

@@ -18,7 +18,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from lp_extremal import __version__
-from lp_extremal.bounds import bound_sweep, epsilon_threshold
+from lp_extremal.bounds import PROVEN_EXPONENTS, BoundRow, bound_sweep, epsilon_threshold
 from lp_extremal.construct import build_configuration
 from lp_extremal.errors import NumericalBreakdown
 from lp_extremal.lpgeom import DEFAULT_TOL, Configuration, is_equilateral, ratio_report
@@ -123,7 +123,7 @@ def _cmd_bound(args):
         return table.to_dict(), table.to_csv()
     if args.csv:
         raise ValueError("CSV output is only available for 'bound --sweep'")
-    row = bound_sweep(args.n, args.n, p).rows[0]
+    row = BoundRow(args.n, p)
     return row.to_dict(), repr(row.bound)
 
 
@@ -212,7 +212,7 @@ def _cmd_check_equilateral(args):
     if flag:
         text += f" (common distance {lam!r})"
     if m > n + 1:
-        for center in (4.0, 2.0):
+        for center in PROVEN_EXPONENTS:
             eps = epsilon_threshold(n, center)
             if abs(config.p - center) < eps:
                 note = (
@@ -247,7 +247,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("bound", help="closed-form ratio bound and threshold")
     sp.add_argument("--n", type=int, default=None, help="dimension")
-    sp.add_argument("--p", type=float, default=4.0, choices=[2.0, 4.0], help="exponent")
+    sp.add_argument("--p", type=float, default=4.0, choices=PROVEN_EXPONENTS, help="exponent")
     sp.add_argument("--sweep", default=None, metavar="N1..N2", help="dimension range")
     sp.add_argument("--csv", action="store_true", help="emit CSV (with --sweep only)")
     add_common(sp, _cmd_bound)

@@ -45,8 +45,8 @@ class SearchResult:
     best_config holds n+2 points in R^n under the 4-norm.  Computed from
     it: best_ratio = ratio_report(best_config).ratio, bound =
     schuette_bound(n, 4), and gap = best_ratio - bound, which can approach
-    0 but a negative value beyond rounding would mean an evaluation bug,
-    not a disproof.  restarts counts the restarts the budget gave an evaluation.
+    0; a best_ratio below bound - 1e-9 is an evaluation bug, not a disproof,
+    and raises NumericalBreakdown.  restarts counts the restarts the budget gave an evaluation.
     """
 
     best_config: Configuration
@@ -64,6 +64,11 @@ class SearchResult:
         n = _check_instance(self.best_config, "best_config")
         best_ratio = ratio_report(self.best_config).ratio
         bound = schuette_bound(n, 4)
+        if best_ratio < bound - 1e-9:
+            raise NumericalBreakdown(
+                "search best ratio fell below the proven bound; the evaluator is buggy",
+                diagnostics={"best_ratio": best_ratio, "bound": bound, "n": n},
+            )
         _assign(self, best_ratio=best_ratio, bound=bound, gap=best_ratio - bound)
 
     def to_dict(self) -> dict:
@@ -196,15 +201,9 @@ def minimize_ratio(n, budget, seeds="auto", rng_seed=0) -> SearchResult:
     ]
     # min keeps the first of equal ratios: ties go to the lowest restart index
     best_pts = min(outcomes, key=lambda o: o[0])[1]
-    result = SearchResult(
+    return SearchResult(
         best_config=Configuration(best_pts, 4.0),
         restarts=len(outcomes),
         evaluations=sum(allocs),
         rng_seed=rng_seed,
     )
-    if result.best_ratio < result.bound - 1e-9:
-        raise NumericalBreakdown(
-            "search best ratio fell below the proven bound; the evaluator is buggy",
-            diagnostics={"best_ratio": result.best_ratio, "bound": result.bound, "n": n},
-        )
-    return result

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lp_extremal import bounds
 from lp_extremal.bounds import (
     BoundRow,
     BoundTable,
@@ -201,6 +203,29 @@ class TestBoundSweep:
             bound_sweep(1, 100_001, 4)
         with pytest.raises(ValueError, match="dimension is too large for a float"):
             bound_sweep(2, 10 ** 400, 4)
+
+    def test_each_row_checks_its_inputs_once(self, monkeypatch):
+        calls = {"int": 0, "real": 0}
+
+        def counted(key, check):
+            def wrapper(*args):
+                calls[key] += 1
+                return check(*args)
+            return wrapper
+
+        monkeypatch.setattr(bounds, "_check_int", counted("int", bounds._check_int))
+        monkeypatch.setattr(bounds, "_check_real", counted("real", bounds._check_real))
+        bound_sweep(2, 130, 4.0)
+        # two for the range, then one of each per row
+        assert calls == {"int": 131, "real": 129}
+
+    @pytest.mark.parametrize("p, digest", [
+        (2.0, "f1e04e8342d013b47748edfaa05004d1f1ebb4564067ee5b6e9bf9d53bf20c75"),
+        (4.0, "cb3d3892469e0036311714ac0fb5db1589af57fea524485dfa5f42c6cf7eb760"),
+    ])
+    def test_sweep_bytes_are_pinned(self, p, digest):
+        text = bound_sweep(1, 10_000, p).to_csv()
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_dict_shape(self):
         d = bound_sweep(2, 3, 4).to_dict()

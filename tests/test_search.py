@@ -13,7 +13,7 @@ from lp_extremal.construct import build_configuration
 from lp_extremal.errors import NumericalBreakdown
 from lp_extremal.lpgeom import Configuration, ratio_report
 from lp_extremal.radon import audit_chain, radon_partition
-from lp_extremal.search import MAX_BUDGET, minimize_ratio
+from lp_extremal.search import MAX_BUDGET, SearchResult, minimize_ratio
 
 FOURTH_ROOT_2 = 2.0 ** 0.25
 
@@ -100,6 +100,14 @@ class TestSearchQuality:
             minimize_ratio(2, 20, "auto", 0)
         diag = exc_info.value.diagnostics
         assert diag["bound"] == 10.0 and diag["n"] == 2 and diag["best_ratio"] < 10.0
+
+    def test_hand_built_result_below_the_bound_is_refused(self, monkeypatch):
+        monkeypatch.setattr(lp_extremal.search, "schuette_bound", lambda n, p: 10.0)
+        square = Configuration([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]], 4.0)
+        with pytest.raises(NumericalBreakdown, match="fell below the proven bound") as exc_info:
+            SearchResult(square, restarts=1, evaluations=1, rng_seed=0)
+        diag = exc_info.value.diagnostics
+        assert diag == {"best_ratio": FOURTH_ROOT_2, "bound": 10.0, "n": 2}
 
     def test_coincident_candidates_are_never_accepted(self, monkeypatch):
         # a kick landing exactly on another point is planted as a zero pair sum

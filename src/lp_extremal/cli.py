@@ -56,10 +56,7 @@ def _dumps(value) -> str:
 
 
 def _emit(args, result: dict, text: str) -> None:
-    if getattr(args, "csv", False):
-        compact = json.dumps(args.manifest, separators=(",", ":"))
-        payload = f"# manifest: {compact}\n{text}"
-    elif args.json or args.out is not None:
+    if args.json or args.out is not None:
         envelope = {"schema": SCHEMA_VERSION, "manifest": args.manifest, "result": result}
         payload = _dumps(envelope)
     else:
@@ -121,8 +118,6 @@ def _cmd_bound(args):
         lo, hi = _parse_sweep(args.sweep)
         table = bound_sweep(lo, hi, p)
         return table.to_dict(), table.to_csv()
-    if args.csv:
-        raise ValueError("CSV output is only available for 'bound --sweep'")
     row = BoundRow(args.n, p)
     return row.to_dict(), repr(row.bound)
 
@@ -249,7 +244,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, default=None, help="dimension")
     sp.add_argument("--p", type=float, default=4.0, choices=PROVEN_EXPONENTS, help="exponent")
     sp.add_argument("--sweep", default=None, metavar="N1..N2", help="dimension range")
-    sp.add_argument("--csv", action="store_true", help="emit CSV (with --sweep only)")
     add_common(sp, _cmd_bound)
 
     sp = sub.add_parser("construct", help="build the explicit n+2 point configuration")

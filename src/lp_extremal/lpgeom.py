@@ -213,7 +213,10 @@ class RatioReport:
     def __post_init__(self):
         if not self.min_dist > 0.0:
             raise ValueError(f"min_dist must be > 0, got {self.min_dist!r}")
-        _assign(self, ratio=self.max_dist / self.min_dist)
+        ratio = self.max_dist / self.min_dist
+        if not math.isfinite(ratio):
+            raise ValueError("the distance ratio exceeds the floating-point range")
+        _assign(self, ratio=ratio)
 
     def to_dict(self) -> dict:
         return {
@@ -355,10 +358,10 @@ def ratio_report(config: Configuration) -> RatioReport:
     """Max distance M, min distance mu, and their ratio over all unordered pairs.
 
     Exactly coincident points make mu = 0 and are rejected with the offending
-    index pair; merely close points are legal and simply produce a large ratio.
-    The two extremes are repriced as :func:`p_norm` does on the rescaled
-    points and mapped back by 2^k, so coordinates near the float limit work
-    as long as M itself is representable.
+    index pair; close points give a large ratio, and one beyond the float range
+    (a distinct pair's mu rounding to 0 too) is a ValueError.  The extremes are
+    repriced as :func:`p_norm` does on the rescaled points and mapped back by
+    2^k, so coordinates near the float limit work as long as M is representable.
 
     Returns
     -------
@@ -382,6 +385,8 @@ def ratio_report(config: Configuration) -> RatioReport:
     except OverflowError:
         raise ValueError("the maximum distance exceeds the floating-point range") from None
     min_dist = math.ldexp(_norm((x[jmin] - x[imin]).tolist(), config.p), k)
+    if min_dist == 0.0:
+        raise ValueError("the distance ratio exceeds the floating-point range")
     return RatioReport(
         max_dist=max_dist,
         min_dist=min_dist,

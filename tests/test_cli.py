@@ -21,6 +21,7 @@ import lp_extremal
 from lp_extremal import (
     Configuration,
     NumericalBreakdown,
+    bound_sweep,
     build_configuration,
     ratio_report,
     schuette_bound,
@@ -68,18 +69,23 @@ class TestBound:
         assert body["manifest"]["version"] == "0.1.0"
         assert body["result"]["bound"] == schuette_bound(3, 4)
 
-    def test_sweep_csv_with_manifest(self, capsys, tmp_path):
-        out_file = tmp_path / "table.csv"
-        code, _ = run(capsys, "bound", "--sweep", "2..6", "--csv", "--out", str(out_file))
+    def test_sweep_text_is_its_csv(self, capsys, tmp_path):
+        code, out = run(capsys, "bound", "--sweep", "2..6")
         assert code == 0
-        lines = out_file.read_text().splitlines()
-        manifest = json.loads(lines[0].removeprefix("# manifest: "))
-        assert manifest["command"] == "bound"
-        assert lines[1] == "n,p,bound,epsilon"
-        assert len(lines) == 2 + 5
-        first = lines[2].split(",")
+        assert out == bound_sweep(2, 6, 4.0).to_csv()
+        lines = out.splitlines()
+        assert not any(line.startswith("#") for line in lines)
+        assert lines[0] == "n,p,bound,epsilon"
+        assert len(lines) == 1 + 5
+        first = lines[1].split(",")
         assert int(first[0]) == 2
         assert float(first[2]) == schuette_bound(2, 4)
+        out_file = tmp_path / "table.json"
+        code, out = run(capsys, "bound", "--sweep", "2..6", "--out", str(out_file))
+        assert code == 0 and out == ""
+        envelope = json.loads(out_file.read_text())
+        assert envelope["manifest"]["command"] == "bound"
+        assert envelope["result"]["rows"] == bound_sweep(2, 6, 4.0).to_dict()["rows"]
 
     def test_sweep_json_table(self, capsys):
         code, body = run_json(capsys, "bound", "--sweep", "2..4", "--json")
@@ -109,11 +115,6 @@ class TestBound:
         code, body = run_json(capsys, "bound", "--sweep", "2..x")
         assert code == 1
         assert "sweep endpoints must be integers" in body["error"]["message"]
-
-    def test_csv_requires_sweep(self, capsys):
-        code, body = run_json(capsys, "bound", "--n", "2", "--csv")
-        assert code == 1
-        assert "sweep" in body["error"]["message"]
 
 
 class TestConstructPipeline:
@@ -453,9 +454,10 @@ class TestErrors:
         assert code == 1
         assert body["error"]["type"] == "ValueError"
 
-    def test_csv_outside_bound_is_a_usage_error(self, capsys, tmp_path):
+    def test_csv_is_a_usage_error(self, capsys, tmp_path):
         cfg = write_config(tmp_path / "sq.json", UNIT_SQUARE)
-        for argv in (["construct", "--n", "3"], ["certify", cfg], ["audit", cfg],
+        for argv in (["bound", "--sweep", "2..3"], ["bound", "--sweep", "2..3", "--json"],
+                     ["construct", "--n", "3"], ["certify", cfg], ["audit", cfg],
                      ["check-equilateral", cfg], ["search", "--n", "2", "--budget", "5"]):
             with pytest.raises(SystemExit) as exc_info:
                 main(argv + ["--csv"])

@@ -3,10 +3,10 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lp_extremal import audit_chain, build_configuration, lpgeom, radon_partition
+from lp_extremal import SearchResult, audit_chain, build_configuration, lpgeom, radon_partition
 from lp_extremal.lpgeom import (
     Configuration,
     RatioReport,
@@ -25,6 +25,30 @@ NEAR_FLOAT_MAX = [
     np.array([[0.0, 1.7e308], [0.0, -1.7e308]]),
     np.array([[1e308, 0.0], [-1e308, 0.0], [0.0, 1.7e308], [0.0, -1.7e308]]),
 ]
+
+RATIO_RANGE = "the distance ratio exceeds the floating-point range"
+# distinct pairs too close for a finite ratio: min_dist 1e-310 under a unit
+# diameter, and a difference of 1e-320 that vanishes when 1e300 is scaled to 1
+RATIO_BEYOND_RANGE = [
+    [[1.0, 0.0], [1.0, 1e-310], [0.0, 0.0], [0.0, 1.0]],
+    [[1e300, 0.0], [1e300, 1e-320], [0.0, 0.0], [0.0, 1.0]],
+]
+
+
+@st.composite
+def wide_point_sets(draw):
+    """3 to 6 points in R^1 to R^3 with coordinates from 2^-1074 to 7 * 2^1000,
+    where points 0 and 1 differ only by a subnormal amount in one coordinate."""
+    m = draw(st.integers(3, 6))
+    n = draw(st.integers(1, 3))
+    coord = st.builds(lambda sign, mant, e: sign * math.ldexp(mant, e),
+                      st.sampled_from([-1.0, 1.0]), st.integers(0, 7), st.integers(-1074, 1000))
+    pts = draw(st.lists(st.lists(coord, min_size=n, max_size=n), min_size=m, max_size=m))
+    c = draw(st.integers(0, n - 1))
+    pts[0][c] = math.ldexp(draw(st.integers(0, 1 << 52)), -1074)
+    pts[1] = list(pts[0])
+    pts[1][c] += math.ldexp(draw(st.integers(1, (1 << 52) - 1)), -1074)
+    return pts
 
 
 def brute_force_pairs(points, p):
@@ -219,6 +243,43 @@ class TestRatioReport:
     def test_min_dist_must_be_positive(self, min_dist):
         with pytest.raises(ValueError, match="min_dist must be > 0"):
             RatioReport(1.0, min_dist, (0, 1), (0, 2))
+
+    @pytest.mark.parametrize("p", [2.0, 3.0, 4.0])
+    @pytest.mark.parametrize("pts", RATIO_BEYOND_RANGE)
+    def test_ratio_beyond_float_range_is_named(self, pts, p):
+        config = Configuration(pts, p)
+        with pytest.raises(ValueError, match=RATIO_RANGE):
+            ratio_report(config)
+        assert is_equilateral(config) == (False, None)
+
+    def test_hand_built_infinite_ratio_is_named(self):
+        with pytest.raises(ValueError, match=RATIO_RANGE):
+            RatioReport(1e300, 1e-10, (0, 1), (0, 2))
+
+    @pytest.mark.parametrize("pts", RATIO_BEYOND_RANGE)
+    def test_search_result_beyond_float_range_is_named(self, pts):
+        with pytest.raises(ValueError, match=RATIO_RANGE):
+            SearchResult(Configuration(pts, 4.0), 1, 1, 0)
+
+    @given(pts=wide_point_sets(), p=st.sampled_from([1.0, 2.0, 3.0, 4.0]))
+    @example(pts=RATIO_BEYOND_RANGE[0], p=4.0)
+    @example(pts=RATIO_BEYOND_RANGE[1], p=4.0)
+    @settings(max_examples=100, deadline=None)
+    def test_answers_are_finite_or_named(self, pts, p):
+        config = Configuration(pts, p)
+        try:
+            rep = ratio_report(config)
+        except ValueError:
+            pass
+        else:
+            assert math.isfinite(rep.ratio) and rep.ratio > 0.0
+            assert rep.ratio == rep.max_dist / rep.min_dist
+        try:
+            flag, lam = is_equilateral(config)
+        except ValueError:
+            return
+        assert type(flag) is bool
+        assert math.isfinite(lam) if flag else lam is None
 
     def test_to_dict_writes_pairs_as_lists(self):
         rep = ratio_report(Configuration(TRIANGLE, 4.0))

@@ -211,7 +211,7 @@ def _equilateral_block(sol: ConstructionSolution) -> np.ndarray:
     return block
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BuiltConfiguration:
     """The assembled n+2 point configuration for dimension n.
 

@@ -163,16 +163,21 @@ def _norm(vals: list, pp: float) -> float:
     return norm
 
 
+def _distance(u: list, v: list, pp: float) -> float:
+    """:func:`distance` of two float lists of equal length, for a checked exponent."""
+    return _norm(list(map(operator.sub, u, v)), pp)
+
+
 def distance(u, v, p) -> float:
     """l_p distance between two points of equal dimension."""
     uu = _as_floats(u, "coordinates", 1).tolist()
     vv = _as_floats(v, "coordinates", 1).tolist()
     if len(uu) != len(vv):
         raise ValueError(f"dimension mismatch: {len(uu)} vs {len(vv)}")
-    return _norm(list(map(operator.sub, uu, vv)), _check_real(p, "norm exponent", 1))
+    return _distance(uu, vv, _check_real(p, "norm exponent", 1))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Configuration:
     """An ordered list of m >= 2 points in R^n together with the exponent p.
 
@@ -358,10 +363,9 @@ def ratio_report(config: Configuration) -> RatioReport:
     """Max distance M, min distance mu, and their ratio over all unordered pairs.
 
     Exactly coincident points make mu = 0 and are rejected with the offending
-    index pair; close points give a large ratio, and one beyond the float range
-    (a distinct pair's mu rounding to 0 too) is a ValueError.  The extremes are
-    repriced as :func:`p_norm` does on the rescaled points and mapped back by
-    2^k, so coordinates near the float limit work as long as M is representable.
+    index pair.  The pair scan chooses the extreme pairs and :func:`distance`'s
+    arithmetic prices them, so distinct points give mu > 0, and an M or a ratio
+    beyond the float range is a ValueError.
 
     Returns
     -------
@@ -370,7 +374,7 @@ def ratio_report(config: Configuration) -> RatioReport:
         maximizing and a minimizing pair (first encountered on ties).
     """
     m = config.size
-    sums, x, k, low, dists = _pair_power_scan(config.points, config.p)
+    sums, _, _, low, dists = _pair_power_scan(config.points, config.p)
     tmax = int(sums.argmax())
     tmin = int(sums.argmin())
     if low.size:
@@ -380,16 +384,10 @@ def ratio_report(config: Configuration) -> RatioReport:
             tmax = int(low[dists.argmax()])
     imax, jmax = _pair_at(tmax, m)
     imin, jmin = _pair_at(tmin, m)
-    try:
-        max_dist = math.ldexp(_norm((x[jmax] - x[imax]).tolist(), config.p), k)
-    except OverflowError:
-        raise ValueError("the maximum distance exceeds the floating-point range") from None
-    min_dist = math.ldexp(_norm((x[jmin] - x[imin]).tolist(), config.p), k)
-    if min_dist == 0.0:
-        raise ValueError("the distance ratio exceeds the floating-point range")
+    pts = config.points
     return RatioReport(
-        max_dist=max_dist,
-        min_dist=min_dist,
+        max_dist=_distance(pts[imax].tolist(), pts[jmax].tolist(), config.p),
+        min_dist=_distance(pts[imin].tolist(), pts[jmin].tolist(), config.p),
         argmax_pair=(imax, jmax),
         argmin_pair=(imin, jmin),
     )

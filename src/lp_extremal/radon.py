@@ -123,7 +123,7 @@ def _square_sum(weights: np.ndarray) -> float:
     return math.fsum([w * w for w in weights.tolist()])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RadonCertificate:
     """Radon partition with convex weights and the ratio certificate.
 

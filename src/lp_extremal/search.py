@@ -38,7 +38,7 @@ AUTO_RANDOM_RESTARTS = 3
 MAX_BUDGET = 1_000_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SearchResult:
     """Best configuration found, with the proven bound for context.
 

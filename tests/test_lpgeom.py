@@ -221,7 +221,7 @@ class TestRatioReport:
 
     @pytest.mark.parametrize("pts", NEAR_FLOAT_MAX)
     def test_max_distance_beyond_float_range_is_named(self, pts):
-        with pytest.raises(ValueError, match="the maximum distance exceeds the floating-point range"):
+        with pytest.raises(ValueError, match="the norm exceeds the floating-point range"):
             ratio_report(Configuration(pts, 4.0))
         rep = ratio_report(Configuration(pts / 4.0, 4.0))
         assert math.isfinite(rep.max_dist) and rep.ratio >= 1.0
@@ -280,6 +280,24 @@ class TestRatioReport:
             return
         assert type(flag) is bool
         assert math.isfinite(lam) if flag else lam is None
+
+    @given(pts=wide_point_sets(), p=st.sampled_from([2.0, 3.0, 4.0]))
+    @example(pts=[[1.0, 0.0], [1.0, 3e-308], [0.0, 0.0], [0.0, 1.0]], p=4.0)
+    @example(pts=[[1.0, 0.0], [1.0, 4.4e-308], [0.0, 0.0], [0.0, 1.0]], p=4.0)
+    @example(pts=[[1.0, 0.0], [1.0, 2.5e-308], [0.0, 0.0], [0.0, 1.0]], p=4.0)
+    @example(pts=[[1.0, 0.0], [1.0, 1e-300], [0.0, 0.0], [0.0, 1.0]], p=4.0)
+    @settings(max_examples=100, deadline=None)
+    def test_reported_pairs_are_priced_as_distance_prices_them(self, pts, p):
+        # which pair is nearest is still chosen in the scan's frame; only the
+        # price of the pairs it reports is held to distance
+        try:
+            rep = ratio_report(Configuration(pts, p))
+        except ValueError:
+            return
+        i, j = rep.argmax_pair
+        assert rep.max_dist == distance(pts[i], pts[j], p)
+        i, j = rep.argmin_pair
+        assert rep.min_dist == distance(pts[i], pts[j], p)
 
     def test_to_dict_writes_pairs_as_lists(self):
         rep = ratio_report(Configuration(TRIANGLE, 4.0))

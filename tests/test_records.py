@@ -18,6 +18,7 @@ from lp_extremal import (
     SearchResult,
     bound_sweep,
     build_configuration,
+    minimize_ratio,
     radon_partition,
     ratio_report,
 )
@@ -88,6 +89,24 @@ def test_derived_fields_are_computed_not_passed(name):
         assert plain(getattr(moved, derived)) == plain(getattr(b, derived))
         with pytest.raises(TypeError, match=f"'{derived}'"):
             type(a)(**inputs, **{derived: getattr(b, derived)})
+
+
+#: A maker of each record that holds arrays: two calls build equal twins.
+ARRAY_RECORDS = {
+    "Configuration": lambda: Configuration(UNIT_SQUARE.points, 4.0),
+    "RadonCertificate": lambda: radon_partition(UNIT_SQUARE.points),
+    "BuiltConfiguration": lambda: build_configuration(4),
+    "SearchResult": lambda: minimize_ratio(2, 8, "auto", 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ARRAY_RECORDS))
+def test_records_that_hold_arrays_compare_and_hash_by_identity(name):
+    a, twin = ARRAY_RECORDS[name](), ARRAY_RECORDS[name]()
+    assert plain(a) == plain(twin)
+    assert a == a and a != twin
+    assert a in [twin, a]
+    assert len({a, twin}) == 2
 
 
 class TestContradictionsAreRejected:

@@ -284,28 +284,34 @@ def _pair_sums(x: np.ndarray, p: float) -> np.ndarray:
     underflow every term to 0.
 
     The pair differences x[j] - x[i] are gathered in chunks of at most
-    ``PAIR_BLOCK_ELEMENTS`` values, and at least one pair.  A set
+    ``PAIR_BLOCK_ELEMENTS`` values per set, and at least one pair.  A set
     whose pairs fit in one chunk returns its sums at once.  Each pair is
     reduced by one contiguous last-axis ``sum`` whatever the chunking, so
     the chunk size does not change a bit, and no BLAS routine is involved.
+
+    ``x`` may carry leading axes, as the search's (restarts, m, n) stack
+    does: each (m, n) set gets its own sums on the last axis of the result,
+    bit for bit those it gets alone.  The leading axes multiply a chunk's
+    size, so a caller keeps a stacked call small: each chunk makes two
+    temporaries, and above about 128 KiB they page-fault afresh on every call.
     """
-    m, n = x.shape
+    m, n = x.shape[-2:]
     count = m * (m - 1) // 2
     step = max(1, PAIR_BLOCK_ELEMENTS // n)
     # subtracting in place saves a chunk-sized temporary: about 10 % at n = 384;
     # at n = 32 that 144 KiB temporary page-faulted afresh on every search step
     if count <= step:
         i, j = _pair_index(m)
-        d = x.take(j, axis=0)
-        d -= x.take(i, axis=0)
+        d = x.take(j, axis=-2)
+        d -= x.take(i, axis=-2)
         return _powered_sums(d, p)
     i, j = np.triu_indices(m, 1)
-    out = np.empty(count)
+    out = np.empty(x.shape[:-2] + (count,))
     for a in range(0, count, step):
         b = a + step
-        d = x.take(j[a:b], axis=0)
-        d -= x.take(i[a:b], axis=0)
-        out[a:b] = _powered_sums(d, p)
+        d = x.take(j[a:b], axis=-2)
+        d -= x.take(i[a:b], axis=-2)
+        out[..., a:b] = _powered_sums(d, p)
     return out
 
 

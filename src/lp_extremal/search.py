@@ -8,7 +8,9 @@ exploration phase (Metropolis acceptance, slowly shrinking step) hands
 over to a greedy polish phase (fast-shrinking step), and the next
 cycle reheats from the best configuration seen.  All schedule state is
 keyed to the absolute evaluation index, so a longer budget replays the
-same walk prefix and the result can only improve.
+same walk prefix and the result can only improve.  The restarts walk in
+lockstep on their own streams, one pair-kernel call pricing a step of
+several, and ratio_report prices their fast lows once, after the walk.
 """
 
 import math
@@ -33,6 +35,10 @@ STEP_DECAY = 0.95
 STEP_FLOOR = 1e-8
 TEMPERATURE_FACTOR = 0.2
 AUTO_RANDOM_RESTARTS = 3
+
+#: Largest number of pair differences (128 KiB) in one stacked kernel call of the walk:
+#: 2^13 was 8-11 % slower at n = 16 and 24, 2^15 50 % at n = 24, and 2^16 2x at n = 32.
+STACK_ELEMENTS = 1 << 14
 
 #: Largest evaluation budget one search takes.
 MAX_BUDGET = 1_000_000
@@ -85,7 +91,9 @@ class SearchResult:
 
 def _normalize(pts: np.ndarray, min_dist: float) -> np.ndarray:
     """Translate the centroid to the origin and scale min distance to 1."""
-    return (pts - np.add.reduce(pts, axis=0) / pts.shape[0]) / min_dist
+    out = pts - np.add.reduce(pts, axis=0) / pts.shape[0]
+    out /= min_dist
+    return out
 
 
 def _step_size(step0: float, index_in_cycle: int) -> float:
@@ -96,64 +104,79 @@ def _step_size(step0: float, index_in_cycle: int) -> float:
     return max(step0 * STEP_DECAY ** decays, STEP_FLOOR)
 
 
-def _run_restart(seed_pts: np.ndarray, evals: int, rng: np.random.Generator):
-    """Walk one restart; returns (best_public_ratio, best_points).
+def _walk(seed_arrays: list, evals: list, keys: list) -> list:
+    """Walk the restarts in lockstep; returns the points of each one's kept lows, oldest first.
 
-    Tracking is two-tier: the fast fourth-power scan drives acceptance,
-    and whenever it records a new low the compensated public evaluator
-    prices the candidate.  The reported minimum therefore ranges over a
-    set that only grows with the budget, which makes the result
-    monotone in the budget by construction.
+    Restart r takes evals[r] >= 1 steps and draws from its own generator,
+    spawned from keys[r], in the order a walk of its own would.  Each step
+    stacks the candidates, and one :func:`_pair_sums` call prices a group of
+    up to STACK_ELEMENTS pair differences, or one restart with more.
+
+    Tracking is two-tier: the fast fourth-power scan drives acceptance and
+    records lows, and the caller prices them with ratio_report after the
+    walk.  A low is dropped only when its public ratio P provably exceeds
+    a later low's.  With u = 2^-53, P is within e(F) = (n + 16 + 8 F n^(1/4)) u
+    of the fast objective F, relatively and to first order: each fast sum
+    rounds by about (n + 6) u, and F and P each take the fourth root of a
+    ratio of two sums; _normalize rounds each coordinate twice, by up to
+    2u F as each lies within the diameter F of the centroid, which moves
+    the unit min distance by 4u F n^(1/4) and the max by as much; and
+    ratio_report's pricing adds about 7u.  A low goes once a later low's
+    F'(1 + 4e(F')) is below its F(1 - 4e(F)), so a restart keeps only the
+    near ties of its fast best, which never rises (at most 3 in 311 searches tried).
     """
-    m, n = seed_pts.shape
-    # the ratio is scale-free; the scan's power of two keeps the seed exact
-    # and its fourth powers inside the float range, and it names duplicates
-    s4, seed_pts, _, low, _ = _pair_power_scan(seed_pts, 4.0)
-    mx, mn = float(s4.max()), float(s4.min())
-    if low.size or not math.isfinite(mx / mn):
-        raise ValueError("seed configuration's distance ratio is too large to search")
-    current = _normalize(seed_pts, mn ** 0.25)
-    current_obj = (mx / mn) ** 0.25
-    fast_best_obj = current_obj
-    fast_best_pts = current
-    public_best_pts = current
-    public_best = ratio_report(Configuration(current, 4.0)).ratio
+    m, n = seed_arrays[0].shape
+    rngs = [np.random.default_rng(key) for key in keys]
+    current = np.empty((len(seed_arrays), m, n))
+    lows = []
+    for r, seed in enumerate(seed_arrays):
+        # the ratio is scale-free; the scan's power of two keeps the seed exact
+        # and its fourth powers inside the float range, and it names duplicates
+        s4, x, _, low, _ = _pair_power_scan(seed, 4.0)
+        mx, mn = float(s4.max()), float(s4.min())
+        if low.size or not math.isfinite(mx / mn):
+            raise ValueError("seed configuration's distance ratio is too large to search")
+        current[r] = pts = _normalize(x, mn ** 0.25)
+        lows.append([((mx / mn) ** 0.25, pts)])
+    objs = [kept[0][0] for kept in lows]
+    best_objs, best_pts = objs.copy(), [kept[0][1] for kept in lows]
     # max pairwise distance of the normalized seed is its diameter
-    step0 = 0.1 * current_obj
+    step0s = [0.1 * obj for obj in objs]
+    e0, e1 = 4.0 * (n + 16) * 2.0 ** -53, 32.0 * n ** 0.25 * 2.0 ** -53
+    group = max(1, STACK_ELEMENTS // (m * (m - 1) // 2 * n))
 
-    for j in range(evals):
+    for j in range(evals[0]):
+        live = sum(e > j for e in evals)
         jc = j % CYCLE_LEN
         if jc == 0 and j > 0:
-            current = fast_best_pts
-            current_obj = fast_best_obj
-        step = _step_size(step0, jc)
-        idx = int(rng.integers(m))
-        kick = rng.normal(size=n)
-        coin = rng.random()
-        cand = current.copy()
-        cand[idx] += step * kick
-        s4 = _pair_sums(cand, 4.0)
-        cmx, cmn = float(s4.max()), float(s4.min())
-        if cmn <= 0.0:
-            continue  # coincident points: infinite ratio, never accepted
-        cand_obj = (cmx / cmn) ** 0.25
-        delta = cand_obj - current_obj
+            current[:live] = best_pts[:live]
+            objs[:live] = best_objs[:live]
         exploring = jc < EXPLORE_LEN
-        accept = delta <= 0.0 or (
-            exploring and coin < math.exp(-delta / (TEMPERATURE_FACTOR * step))
-        )
-        if not accept:
-            continue
-        current = _normalize(cand, cmn ** 0.25)
-        current_obj = cand_obj
-        if cand_obj < fast_best_obj:
-            fast_best_obj = cand_obj
-            fast_best_pts = current
-            public = ratio_report(Configuration(current, 4.0)).ratio
-            if public < public_best:
-                public_best = public
-                public_best_pts = current
-    return public_best, public_best_pts
+        cand = current[:live].copy()
+        steps = [_step_size(step0, jc) for step0 in step0s[:live]]
+        coins = []
+        for r, rng in enumerate(rngs[:live]):
+            idx = int(rng.integers(m))
+            cand[r, idx] += steps[r] * rng.normal(size=n)
+            coins.append(rng.random())
+        for g in range(0, live, group):
+            s4 = _pair_sums(cand[g:g + group], 4.0)
+            for r, cmx, cmn in zip(range(g, live), s4.max(-1).tolist(), s4.min(-1).tolist()):
+                if cmn <= 0.0:
+                    continue  # coincident points: infinite ratio, never accepted
+                cand_obj = (cmx / cmn) ** 0.25
+                delta = cand_obj - objs[r]
+                if not (delta <= 0.0 or exploring and coins[r] < math.exp(
+                        -delta / (TEMPERATURE_FACTOR * steps[r]))):
+                    continue
+                current[r] = pts = _normalize(cand[r], cmn ** 0.25)
+                objs[r] = cand_obj
+                if cand_obj < best_objs[r]:
+                    best_objs[r], best_pts[r] = cand_obj, pts
+                    top = cand_obj * (1.0 + e0 + e1 * cand_obj)
+                    lows[r] = [low for low in lows[r] if low[0] * (1.0 - e0 - e1 * low[0]) <= top]
+                    lows[r].append((cand_obj, pts))
+    return [[pts for _, pts in kept] for kept in lows]
 
 
 def minimize_ratio(n, budget, seeds="auto", rng_seed=0) -> SearchResult:
@@ -165,7 +188,7 @@ def minimize_ratio(n, budget, seeds="auto", rng_seed=0) -> SearchResult:
     split evenly across restarts (remainder to the earlier ones) and
     counts candidate evaluations.  Deterministic for fixed inputs: each
     restart owns a child generator spawned from rng_seed, the restarts
-    run in index order, and they combine by (ratio, restart index).
+    run in lockstep, and they combine by (ratio, restart index).
     """
     n = _check_int(n, "n", 2)
     budget = _check_int(budget, "budget", 1)
@@ -194,16 +217,16 @@ def minimize_ratio(n, budget, seeds="auto", rng_seed=0) -> SearchResult:
     restarts = len(seed_arrays)
     base, extra = divmod(budget, restarts)
     allocs = [base + (1 if r < extra else 0) for r in range(restarts)]
-    outcomes = [
-        _run_restart(seed_arrays[r], allocs[r], np.random.default_rng(walk_keys[r]))
-        for r in range(restarts)
-        if allocs[r] > 0
-    ]
-    # min keeps the first of equal ratios: ties go to the lowest restart index
-    best_pts = min(outcomes, key=lambda o: o[0])[1]
+    # allocations never grow with r, so the restarts with a step are a prefix
+    walked = min(restarts, budget)
+    lows = _walk(seed_arrays[:walked], allocs[:walked], walk_keys[:walked])
+    # min keeps the first of equal ratios: ties go to the lowest restart
+    # index, then to the earliest low, as pricing each low as it came would
+    priced = [(ratio_report(Configuration(pts, 4.0)).ratio, pts) for kept in lows for pts in kept]
+    best_pts = min(priced, key=lambda o: o[0])[1]
     return SearchResult(
         best_config=Configuration(best_pts, 4.0),
-        restarts=len(outcomes),
+        restarts=walked,
         evaluations=sum(allocs),
         rng_seed=rng_seed,
     )

@@ -135,7 +135,7 @@ def test_a_bad_value_is_a_value_error(call, value, monkeypatch):
         raise AssertionError("a refused argument starts no search")
 
     monkeypatch.setattr(lp_extremal.search, "build_configuration", no_work)
-    monkeypatch.setattr(lp_extremal.search, "_run_restart", no_work)
+    monkeypatch.setattr(lp_extremal.search, "_walk", no_work)
     with pytest.raises(ValueError):
         call(value)
 

@@ -497,6 +497,19 @@ class TestPairKernel:
             assert np.array_equal(lpgeom._pair_sums(pts, p), one_chunk), kind
             monkeypatch.undo()
 
+    @pytest.mark.parametrize("p", [2.0, 3.0, 4.0])
+    def test_a_stack_of_sets_gets_each_sets_bits(self, monkeypatch, p):
+        # the search prices its restarts' candidates as one (restarts, m, n) stack
+        rng = np.random.default_rng(29)
+        for n in (2, 5, 8, 24, 69):
+            stack = rng.uniform(-1.0, 1.0, (4, n + 2, n))
+            stack[1:, 3] += 1e4
+            alone = np.stack([lpgeom._pair_sums(x, p) for x in stack])
+            for budget in (lpgeom.PAIR_BLOCK_ELEMENTS, 50):
+                monkeypatch.setattr(lpgeom, "PAIR_BLOCK_ELEMENTS", budget)
+                assert lpgeom._pair_sums(stack, p).tobytes() == alone.tobytes(), (n, budget)
+            monkeypatch.undo()
+
     def test_only_one_chunk_sets_cache_their_pair_indices(self):
         # several chunks: the construction at n = 64 (2,145 pairs) for the
         # ratio and the audit, and 66 basis vectors, which are equilateral,

@@ -1,3 +1,6 @@
+import collections
+import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -6,16 +9,95 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 import lp_extremal
 from lp_extremal.bounds import schuette_bound
 from lp_extremal.construct import build_configuration
 from lp_extremal.errors import NumericalBreakdown
-from lp_extremal.lpgeom import Configuration, ratio_report
+from lp_extremal.lpgeom import Configuration, _pair_sums, ratio_report
 from lp_extremal.radon import audit_chain, radon_partition
-from lp_extremal.search import MAX_BUDGET, SearchResult, minimize_ratio
+from lp_extremal.search import MAX_BUDGET, SearchResult, _normalize, minimize_ratio
 
 FOURTH_ROOT_2 = 2.0 ** 0.25
+
+#: sha256 of json.dumps(minimize_ratio(n, budget, seeds, rng_seed).to_dict(), sort_keys=True)
+#: as first pinned; "one" and "five" are explicit seed lists (see seed_list).  Budget 3
+#: leaves a restart without a step, 201 and 503 split unevenly, 2501 crosses a cycle reheat,
+#: and n = 16, 24 and 32 put 4, 2 and 1 restarts in each stacked kernel call.
+SEARCH_BYTES = [
+    (2, 200, "auto", 0,
+     "f538a31e1aa7d51fcfb1e5f43403f2cde371cd8045b61c0cf96097ddc7d1de9a"),
+    (2, 200, "auto", 1,
+     "8d79adc95ecb111518c1bb0d5b7e8b9dace985c25930e58088f6af906224a681"),
+    (2, 200, "auto", 2,
+     "2caf9da46c1a212c87710d6f6253d07b4d55a9f06a1040636bea3d04d05b6657"),
+    (3, 200, "auto", 0,
+     "cd5542e451984d95ab6b7be5be52e35b8df1a6c824856270164089d3e454d2ea"),
+    (3, 200, "auto", 1,
+     "67ab44c9e8467925aaefb05f08631c20c172e69442fa82ea37ae1f6aff8d3c60"),
+    (3, 200, "auto", 2,
+     "7cff9080a210634322c4700b655ebca5312a63f4f614e43ac642900463e760d6"),
+    (8, 200, "auto", 0,
+     "a42ef0e02e68fedf39b8e2d3a2c114b948549c57a7156d75e83b798ec30ef327"),
+    (8, 200, "auto", 1,
+     "2b4aeeed91ed025798ecf67e0999e784bffc0075849ec8216ec556ecd4fd5e61"),
+    (8, 200, "auto", 2,
+     "7932a5a6e113172b97f4f145d74a34380b0f3ecd63e9967f506b2be59d025a1f"),
+    (16, 100, "auto", 0,
+     "2d1dac36e4be30acabbd943c042911e7272dddd36772fab51c0b02a0ae3c9e93"),
+    (16, 100, "auto", 1,
+     "3f2ea8f578cbc47a7b48c5164b529f7a571171bed215c0d3a7b205bf99c0953e"),
+    (16, 100, "auto", 2,
+     "1d9e6ac958c0f2c79d42f124946c53089c30bfc3f36af9a12d1d8d3732f7f94d"),
+    (24, 80, "auto", 0,
+     "9a47ebbd7e7c2d07ad1fa0a903a7b8185c7b8d69642705887d496cea5d3a07b3"),
+    (24, 80, "auto", 1,
+     "9d31b521384cc6e81f655c353c7473d0eacc4f7d2eb4d5c81a6f742c7a1e86b1"),
+    (24, 80, "auto", 2,
+     "c540d627d396cf63543b137bffe4f05005bc61164167fae276acbe8e8650393d"),
+    (32, 40, "auto", 0,
+     "fea97c7509cd53835f62b2d4fd8d7012a45265b6c3c84a45397ee3e569905087"),
+    (32, 40, "auto", 1,
+     "8a22851c73dfb56957608c2969fe212e04cbc0d1f3f977f438754fb76fe55edb"),
+    (32, 40, "auto", 2,
+     "c2e7517db05283db98192e7101f7f12fe023247c8fb35054edd2bd9ebfda3612"),
+    (64, 40, "auto", 0,
+     "584b6d2c12e85161ece68097deb8114e291d4a8562df9b825f6b9cfd6bf6d430"),
+    (64, 40, "auto", 1,
+     "fe691c625fbdfa7dd52783eced1bcfa3d064bbc37690a6df7b6b23e5771dbb6d"),
+    (64, 40, "auto", 2,
+     "39c1ab30b5b7eba9987fea53a702fd680b105a7d2a942cb9f391155509311c72"),
+    (2, 3, "auto", 0,
+     "52d98295dc9013469e23a3d7cb7424d87d14e3e790557370ce50aea27e23e3b0"),
+    (8, 3, "auto", 1,
+     "870f1d60ed38f4c7b4781d1817a552f08f09103ac4a7830c25905c8a7e7ad758"),
+    (3, 201, "auto", 4,
+     "3aa174fb5ec74fa8dca78e93cd4fbb878d5d2be7ad45ea7380a2da5c17611558"),
+    (16, 201, "auto", 2,
+     "06f1aa340b83aca7dc58c3b4702b0f7443da454f91615243b2e36d1a22419880"),
+    (2, 2501, "one", 0,
+     "977a1a5f8565932506796bd253fa553fa9a681324927492ffc1803b620e0b931"),
+    (8, 2501, "one", 1,
+     "fa79450413ed21ca0df598e60c7133c994876f6a442d4eaf12330d816a1c8e77"),
+    (3, 10, "one", 2,
+     "667bd759eef2cf0623e6a5bb87b4d3652f05f99c1a74fb0eb89b83fadc0b3719"),
+    (4, 503, "five", 3,
+     "bfdc0e447ddc6118ceab826ea9dca9647c216628eb8579bc98a57b886d33a2d0"),
+    (24, 37, "five", 1,
+     "42e92d97d9f58b84cbaab1a2d705aa3d2cb44a7687f10838ef43af0d41f6a649"),
+]
+
+
+def seed_list(kind, n):
+    """"auto", or the construction followed by uniform random sets: 1 seed or 5."""
+    if kind == "auto":
+        return kind
+    rng = np.random.default_rng(n)
+    return [build_configuration(n).config] + [
+        Configuration(rng.uniform(-1.0, 1.0, (n + 2, n)), 4.0) for _ in range(4 if kind == "five" else 0)
+    ]
 
 
 class TestDeterminism:
@@ -39,6 +121,32 @@ class TestDeterminism:
         res = minimize_ratio(n, budget, "auto", seed)
         assert res.best_ratio == ratio
         assert res.evaluations == budget
+
+    @pytest.mark.parametrize("n, budget, kind, seed, digest", SEARCH_BYTES)
+    def test_result_bytes_are_pinned(self, n, budget, kind, seed, digest):
+        res = minimize_ratio(n, budget, seed_list(kind, n), seed)
+        payload = json.dumps(res.to_dict(), sort_keys=True)
+        assert hashlib.sha256(payload.encode()).hexdigest() == digest
+
+    def test_one_kernel_call_per_step_and_one_pricing_per_restart(self, monkeypatch):
+        calls = collections.Counter()
+
+        def counted(name):
+            fn = getattr(lp_extremal.search, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            monkeypatch.setattr(lp_extremal.search, name, wrapper)
+
+        counted("_pair_sums")
+        counted("ratio_report")
+        res = minimize_ratio(8, 200, "auto", 7)
+        # 4 restarts of 50 steps share one kernel call a step.  This search keeps no
+        # near tie, so each restart prices one low, and SearchResult its best once more
+        assert res.restarts == 4
+        assert calls == {"_pair_sums": 50, "ratio_report": res.restarts + 1}
 
     def test_starts_no_thread(self, monkeypatch):
         def refuse(thread):
@@ -113,7 +221,8 @@ class TestSearchQuality:
         # a kick landing exactly on another point is planted as a zero pair sum
         seed = Configuration(build_configuration(3).config.points, 4.0)
         walked = minimize_ratio(3, 500, [seed], 0)
-        monkeypatch.setattr(lp_extremal.search, "_pair_sums", lambda x, p: np.array([0.0, 1.0]))
+        monkeypatch.setattr(lp_extremal.search, "_pair_sums",
+                            lambda x, p: np.tile([0.0, 1.0], (len(x), 1)))
         start = minimize_ratio(3, 1, [seed], 0)
         res = minimize_ratio(3, 500, [seed], 0)
         assert res.best_ratio == start.best_ratio > walked.best_ratio
@@ -125,6 +234,28 @@ class TestSearchQuality:
         # the construction seeds one restart, so it caps the result
         assert res.best_ratio <= built.expected_ratio * (1 + 1e-12)
         assert res.best_ratio >= schuette_bound(4, 4) - 1e-9
+
+
+class TestLazyPricing:
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(2, 64), seed=st.integers(0, 2 ** 32 - 1), scale=st.integers(-20, 20),
+           offset=st.floats(-1e4, 1e4), gap=st.one_of(st.none(), st.floats(-7.0, -1.0)))
+    @example(n=8, seed=1, scale=0, offset=0.0, gap=-6.0)
+    @example(n=64, seed=2, scale=3, offset=1e4, gap=-5.0)
+    def test_public_ratio_is_within_the_margin_of_the_fast_one(self, n, seed, scale, offset, gap):
+        rng = np.random.default_rng(seed)
+        cand = np.ldexp(rng.uniform(-1.0, 1.0, (n + 2, n)), scale)
+        if gap is not None:
+            # a near-duplicate pair, 10^gap of the coordinate scale apart
+            cand[1] = cand[0] + np.ldexp(10.0 ** gap * rng.normal(size=n), scale)
+        cand += offset
+        s4 = _pair_sums(cand, 4.0)
+        cmx, cmn = float(s4.max()), float(s4.min())
+        assume(cmn > 0.0)  # an offset's rounding can merge the near-duplicate pair
+        fast = (cmx / cmn) ** 0.25
+        public = ratio_report(Configuration(_normalize(cand, cmn ** 0.25), 4.0)).ratio
+        bound = (n + 16 + 8 * fast * n ** 0.25) * 2.0 ** -53
+        assert abs(public / fast - 1.0) <= bound, (fast, public / fast - 1.0, bound)
 
 
 class TestResultContract:
@@ -211,7 +342,7 @@ class TestSeeds:
             raise AssertionError("a refused budget starts no search")
 
         monkeypatch.setattr(lp_extremal.search, "build_configuration", no_work)
-        monkeypatch.setattr(lp_extremal.search, "_run_restart", no_work)
+        monkeypatch.setattr(lp_extremal.search, "_walk", no_work)
         for budget, message in ((MAX_BUDGET + 1, f"budget must be <= {MAX_BUDGET}"),
                                 (10 ** 400, "budget is too large for a float")):
             with pytest.raises(ValueError, match=message):

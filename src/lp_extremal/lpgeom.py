@@ -216,12 +216,15 @@ class RatioReport:
     argmin_pair: tuple[int, int]
 
     def __post_init__(self):
-        if not self.min_dist > 0.0:
-            raise ValueError(f"min_dist must be > 0, got {self.min_dist!r}")
-        ratio = self.max_dist / self.min_dist
+        max_dist = _check_real(self.max_dist, "max_dist")
+        try:
+            min_dist = _check_real(self.min_dist, "min_dist", math.ulp(0.0))
+        except ValueError as exc:
+            raise ValueError(f"min_dist must be > 0, got {self.min_dist!r}") from exc
+        ratio = max_dist / min_dist
         if not math.isfinite(ratio):
             raise ValueError("the distance ratio exceeds the floating-point range")
-        _assign(self, ratio=ratio)
+        _assign(self, max_dist=max_dist, min_dist=min_dist, ratio=ratio)
 
     def to_dict(self) -> dict:
         return {

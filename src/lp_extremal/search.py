@@ -10,7 +10,7 @@ cycle reheats from the best configuration seen.  All schedule state is
 keyed to the absolute evaluation index, so a longer budget replays the
 same walk prefix and the result can only improve.  The restarts walk in
 lockstep on their own streams, one pair-kernel call pricing a step of
-several, and ratio_report prices their fast lows once, after the walk.
+several, and each fast low they keep is priced once, by its own result.
 """
 
 import math
@@ -105,7 +105,7 @@ def _step_size(step0: float, index_in_cycle: int) -> float:
 
 
 def _walk(seed_arrays: list, evals: list, keys: list) -> list:
-    """Walk the restarts in lockstep; returns the points of each one's kept lows, oldest first.
+    """Walk the restarts in lockstep; returns their kept lows' points, by restart, oldest first.
 
     Restart r takes evals[r] >= 1 steps and draws from its own generator,
     spawned from keys[r], in the order a walk of its own would.  Each step
@@ -176,7 +176,7 @@ def _walk(seed_arrays: list, evals: list, keys: list) -> list:
                     top = cand_obj * (1.0 + e0 + e1 * cand_obj)
                     lows[r] = [low for low in lows[r] if low[0] * (1.0 - e0 - e1 * low[0]) <= top]
                     lows[r].append((cand_obj, pts))
-    return [[pts for _, pts in kept] for kept in lows]
+    return [pts for kept in lows for _, pts in kept]
 
 
 def minimize_ratio(n, budget, seeds="auto", rng_seed=0) -> SearchResult:
@@ -220,13 +220,7 @@ def minimize_ratio(n, budget, seeds="auto", rng_seed=0) -> SearchResult:
     # allocations never grow with r, so the restarts with a step are a prefix
     walked = min(restarts, budget)
     lows = _walk(seed_arrays[:walked], allocs[:walked], walk_keys[:walked])
-    # min keeps the first of equal ratios: ties go to the lowest restart
-    # index, then to the earliest low, as pricing each low as it came would
-    priced = [(ratio_report(Configuration(pts, 4.0)).ratio, pts) for kept in lows for pts in kept]
-    best_pts = min(priced, key=lambda o: o[0])[1]
-    return SearchResult(
-        best_config=Configuration(best_pts, 4.0),
-        restarts=walked,
-        evaluations=sum(allocs),
-        rng_seed=rng_seed,
-    )
+    # each low is priced once, by the SearchResult built for it; min keeps the first of equal
+    # ratios, so ties go to the lowest restart index, then to the earliest low
+    return min((SearchResult(Configuration(pts, 4.0), walked, budget, rng_seed) for pts in lows),
+               key=lambda res: res.best_ratio)

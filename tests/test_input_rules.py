@@ -15,6 +15,7 @@ from lp_extremal import (
     Configuration,
     ConstructionSolution,
     RadonCertificate,
+    RatioReport,
     SearchResult,
     audit_chain,
     bound_sweep,
@@ -93,6 +94,13 @@ ENTRIES = [
     ("exponent", "norm_equivalence_factor", lambda p: norm_equivalence_factor(3, p), 4),
     ("exponent", "BoundRow", lambda p: BoundRow(3, p), 4),
     ("exponent", "bound_sweep", lambda p: bound_sweep(2, 3, p), 4),
+    ("exponent", "RatioReport-max_dist", lambda d: RatioReport(d, 1.0, (0, 1), (0, 1)), 1.0),
+    ("exponent", "RatioReport-min_dist", lambda d: RatioReport(1.0, d, (0, 1), (0, 1)), 1.0),
+    ("exponent", "RadonCertificate-residual",
+     lambda r: RadonCertificate(weights=WEIGHTS, common_point=[0.0], residual=r), 0.0),
+    ("exponent", "RadonCertificate-certificate",
+     lambda c: RadonCertificate(weights=WEIGHTS, common_point=[0.0], residual=0.0, certificate=c),
+     4.0),
     ("integer", "f_eval", lambda k: f_eval(0.5, k), 2),
     ("integer", "solve_alpha", solve_alpha, 2),
     ("integer", "ConstructionSolution", ConstructionSolution, 2),

@@ -144,9 +144,28 @@ class TestDeterminism:
         counted("ratio_report")
         res = minimize_ratio(8, 200, "auto", 7)
         # 4 restarts of 50 steps share one kernel call a step.  This search keeps no
-        # near tie, so each restart prices one low, and SearchResult its best once more
+        # near tie, so each restart prices one low, in the SearchResult built for it
         assert res.restarts == 4
-        assert calls == {"_pair_sums": 50, "ratio_report": res.restarts + 1}
+        assert calls == {"_pair_sums": 50, "ratio_report": res.restarts}
+
+    @pytest.mark.parametrize("n, budget, seed", [(2, 200, 9), (3, 400, 2)])
+    def test_each_kept_low_is_priced_once(self, n, budget, seed, monkeypatch):
+        # both searches keep a near tie, so some restart hands back two lows
+        walk, pricing, kept, priced = lp_extremal.search._walk, lp_extremal.search.ratio_report, [], []
+
+        def walked(*args):
+            kept.extend(walk(*args))
+            return kept
+
+        def counted(config):
+            priced.append(config)
+            return pricing(config)
+
+        monkeypatch.setattr(lp_extremal.search, "_walk", walked)
+        monkeypatch.setattr(lp_extremal.search, "ratio_report", counted)
+        res = minimize_ratio(n, budget, "auto", seed)
+        assert len(kept) > res.restarts
+        assert len(priced) == len(kept)
 
     def test_starts_no_thread(self, monkeypatch):
         def refuse(thread):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import operator
 import sys
 from dataclasses import dataclass, field
@@ -216,11 +217,13 @@ class RatioReport:
     argmin_pair: tuple[int, int]
 
     def __post_init__(self):
-        max_dist = _check_real(self.max_dist, "max_dist")
+        max_dist = _check_real(self.max_dist, "max_dist", 0)
         try:
             min_dist = _check_real(self.min_dist, "min_dist", math.ulp(0.0))
         except ValueError as exc:
-            raise ValueError(f"min_dist must be > 0, got {self.min_dist!r}") from exc
+            if isinstance(self.min_dist, bool) or not isinstance(self.min_dist, numbers.Real):
+                raise  # not a number: the number rule says so
+            raise ValueError(f"min_dist must be > 0 and finite, got {self.min_dist!r}") from exc
         ratio = max_dist / min_dist
         if not math.isfinite(ratio):
             raise ValueError("the distance ratio exceeds the floating-point range")
@@ -278,6 +281,11 @@ def _powered_sums(d: np.ndarray, p: float) -> np.ndarray:
     return top * d.sum(axis=-1) ** (1.0 / p)
 
 
+def _chunk_pairs(n: int) -> int:
+    """Pairs of n coordinates in one chunk of the pair kernel: at least one."""
+    return max(1, PAIR_BLOCK_ELEMENTS // n)
+
+
 def _pair_sums(x: np.ndarray, p: float) -> np.ndarray:
     """Per-pair values for all i < j of the rows of ``x``, in row-major order.
 
@@ -299,18 +307,22 @@ def _pair_sums(x: np.ndarray, p: float) -> np.ndarray:
     temporaries, and above about 128 KiB they page-fault afresh on every call.
     """
     m, n = x.shape[-2:]
-    count = m * (m - 1) // 2
-    step = max(1, PAIR_BLOCK_ELEMENTS // n)
     # subtracting in place saves a chunk-sized temporary: about 10 % at n = 384;
     # at n = 32 that 144 KiB temporary page-faulted afresh on every search step
-    if count <= step:
+    if m * (m - 1) // 2 <= _chunk_pairs(n):
         i, j = _pair_index(m)
         d = x.take(j, axis=-2)
         d -= x.take(i, axis=-2)
         return _powered_sums(d, p)
-    i, j = np.triu_indices(m, 1)
-    out = np.empty(x.shape[:-2] + (count,))
-    for a in range(0, count, step):
+    return _sums_at(x, *np.triu_indices(m, 1), p)
+
+
+def _sums_at(x: np.ndarray, i: np.ndarray, j: np.ndarray, p: float) -> np.ndarray:
+    """:func:`_pair_sums`'s values of the pairs (i[t], j[t]) of rows of ``x``,
+    bit for bit, gathered in chunks as it gathers them."""
+    step = _chunk_pairs(x.shape[-1])
+    out = np.empty(x.shape[:-2] + i.shape)
+    for a in range(0, i.size, step):
         b = a + step
         d = x.take(j[a:b], axis=-2)
         d -= x.take(i[a:b], axis=-2)
@@ -366,6 +378,112 @@ def _pair_power_scan(pts: np.ndarray, p: float):
             raise ValueError(f"duplicate points at indices {(i, j)}")
         dists[r] = _norm((x[j] - x[i]).tolist(), p)
     return sums, x, k, low, dists
+
+
+def _gram_bounds(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(s, w)``, an (m, m) array and a vector: for rows i != j of ``x``,
+    all |x| < 1, the p = 4 sum :func:`_pair_sums` gives their pair lies
+    within e_ij = w_i + w_j of s_ij.
+
+    s is formed from Gram products on y = x - x[0], which is exact
+    (Sterbenz) wherever the offset dominates the spread, so a set far from
+    the origin keeps bounds on the scale of its spread.  With a = y_ik and
+    b = y_jk, (a - b)^4 = a^4 + b^4 - 4a^3 b - 4ab^3 + 6a^2 b^2, so the sum
+    of y's pair is P_i + P_j - 4(C_ij + C_ji) + 6 D_ij, where P holds the row
+    sums of y^4, C = y^3 y^T and D = y^2 (y^2)^T; s is that formula in
+    floats, the products from BLAS.  By AM-GM |a^3 b| <= (3a^4 + b^4)/4,
+    |ab^3| <= (a^4 + 3b^4)/4 and a^2 b^2 <= (a^4 + b^4)/2, so the terms'
+    absolute values sum to at most 8(P_i + P_j).  With u = 2^-53:
+
+    - each term takes at most n + 7 roundings: up to three forming y^2, y^3
+      or y^4, n in a dot product or row sum (gamma_n sum |a_k b_k| in any
+      order, with or without FMA: Higham, Accuracy and Stability of
+      Numerical Algorithms, 2nd ed., 2002, section 3.1), one for the factor
+      6 and four additions, so s is within 8 gamma_(n+7) (P_i + P_j) of y's
+      exact sum;
+    - y's difference a - b is x's within u(|a| + |b|) to first order, which
+      moves (a - b)^4 by at most 4u(|a| + |b|)^4 <= 32u(a^4 + b^4), so y's
+      exact sum is within 32u (P_i + P_j) of x's;
+    - the kernel rounds each term 7 times and n - 1 times in its reduction,
+      and (a - b)^4 <= 8(a^4 + b^4), so its sum is within 8 gamma_(n+6)
+      (P_i + P_j) of x's exact sum.
+
+    To first order the kernel is then within 16(n + 9)u (P_i + P_j) of s.
+    w is twice that on the computed P, which covers P's own error, the
+    second order terms for any n below 2^40 and a few roundings in forming
+    w and s -/+ e.  Underflow adds at most one subnormal unit to a
+    rounding, which later products, |y| < 2, grow at most 8 times: under
+    2^10 n units in all; e adds n times the smallest normal float
+    (:func:`_sum_floor`), 2^42 times that.  Besides ``x``, at most three
+    (m, n) or (m, m) arrays are live at once.
+    """
+    m, n = x.shape
+    y = x - x[0]
+    sq = y * y
+    row = (sq * sq).sum(axis=1)
+    sq *= y  # y^3
+    c = sq @ y.T
+    np.multiply(y, y, out=sq)
+    del y
+    s = sq @ sq.T
+    del sq
+    s *= 6.0
+    c *= 4.0  # exact: a power of two
+    s -= c
+    s -= c.T
+    del c
+    s += row[:, None]
+    s += row
+    row *= 32.0 * (n + 9) * 2.0 ** -53
+    row += 0.5 * _sum_floor(n)
+    return s, row
+
+
+def _gram_candidates(x: np.ndarray) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """``(i, j)``, in row-major order, the pairs i < j of rows of ``x`` that
+    may hold the largest or the smallest of :func:`_pair_sums`'s sums at
+    p = 4; None when any may sit below the underflow floor.
+
+    By :func:`_gram_bounds` a pair whose interval [s - e, s + e] lies wholly
+    below the largest lower end cannot hold the largest kernel sum, nor one
+    wholly above the least upper end the smallest.  A lower end below the
+    floor may stand for two equal points or a sum that lost digits, which
+    only the full scan tells apart.  The ends are formed in place, so at
+    most two (m, m) float arrays are live at once.
+    """
+    m, n = x.shape
+    hi, w = _gram_bounds(x)
+    lo = hi - w[:, None]
+    lo -= w
+    upper = ~np.tri(m, dtype=bool)  # the pairs i < j
+    if lo.min(where=upper, initial=math.inf) < _sum_floor(n):
+        return None
+    top = lo.max(where=upper, initial=-math.inf)
+    hi += w[:, None]
+    hi += w
+    bottom = hi.min(where=upper, initial=math.inf)
+    return np.nonzero(upper & ((hi >= top) | (lo <= bottom)))
+
+
+def _extreme_sums(pts: np.ndarray):
+    """The largest and the smallest of :func:`_pair_power_scan`'s p = 4 sums.
+
+    Returns ``(top, bottom, x, k, low)``: the two sums bit for bit, and the
+    scan's scaled points, k and underflowed positions.  A set with more
+    pairs than one chunk of the pair kernel has the kernel price only
+    :func:`_gram_candidates`, so BLAS chooses which pairs are priced and
+    never a reported bit.  The full scan runs instead when a pair may sit
+    below the underflow floor, and for every smaller set.
+    """
+    m, n = pts.shape
+    if m * (m - 1) // 2 > _chunk_pairs(n):
+        x, k = _power_of_two_scaled(pts)
+        pairs = _gram_candidates(x)
+        if pairs is not None:
+            sums = _sums_at(x, *pairs, 4.0)
+            return float(sums.max()), float(sums.min()), x, k, np.empty(0, dtype=np.intp)
+    sums, x, k, low, _ = _pair_power_scan(pts, 4.0)
+    return float(sums.max()), float(sums.min()), x, k, low
 
 
 def ratio_report(config: Configuration) -> RatioReport:

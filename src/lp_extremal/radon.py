@@ -17,7 +17,7 @@ import numpy as np
 
 from lp_extremal.errors import NumericalBreakdown
 from lp_extremal.lpgeom import (
-    Configuration, _as_floats, _assign, _check_instance, _check_real, _pair_power_scan,
+    Configuration, _as_floats, _assign, _check_instance, _check_real, _extreme_sums,
     _power_of_two_scaled,
 )
 
@@ -359,9 +359,7 @@ def audit_chain(config: Configuration, cert: RadonCertificate) -> ChainAudit:
     if cert.weights.size != m:
         raise ValueError(f"the certificate has {cert.weights.size} weights for {m} points")
 
-    sums, x, k, low, _ = _pair_power_scan(config.points, 4.0)
-    m4 = float(sums.max())
-    mu4 = float(sums.min())
+    m4, mu4, x, k, low = _extreme_sums(config.points)
     if low.size:
         raise NumericalBreakdown(
             "mu^4 may have lost digits to underflow: the closest pair is too close "

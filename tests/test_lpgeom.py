@@ -1,3 +1,4 @@
+import json
 import math
 import sys
 
@@ -6,7 +7,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lp_extremal import SearchResult, audit_chain, build_configuration, lpgeom, radon_partition
+from lp_extremal import (
+    NumericalBreakdown, SearchResult, audit_chain, build_configuration, lpgeom, radon_partition,
+)
 from lp_extremal.lpgeom import (
     Configuration,
     RatioReport,
@@ -239,10 +242,25 @@ class TestRatioReport:
             assert rep.ratio == rep.max_dist / rep.min_dist
             assert rep.ratio >= 1.0
 
-    @pytest.mark.parametrize("min_dist", [0.0, -1.0, math.nan])
+    @pytest.mark.parametrize("min_dist", [0.0, -1.0, math.nan, math.inf, 10**400])
     def test_min_dist_must_be_positive(self, min_dist):
         with pytest.raises(ValueError, match="min_dist must be > 0"):
             RatioReport(1.0, min_dist, (0, 1), (0, 2))
+
+    @pytest.mark.parametrize("min_dist", [math.inf, 10**400])
+    def test_min_dist_message_names_both_conditions(self, min_dist):
+        with pytest.raises(ValueError, match=r"min_dist must be > 0 and finite, got (inf|1000)"):
+            RatioReport(1.0, min_dist, (0, 1), (0, 2))
+
+    @pytest.mark.parametrize("min_dist", [True, "1.0", np.complex128(1.0), np.array([1.0]), None])
+    def test_min_dist_that_is_not_a_number_is_named(self, min_dist):
+        with pytest.raises(ValueError, match="min_dist must be a finite number") as info:
+            RatioReport(1.0, min_dist, (0, 1), (0, 2))
+        assert "> 0" not in str(info.value)
+
+    def test_max_dist_must_not_be_negative(self):
+        with pytest.raises(ValueError, match="max_dist must be a finite number >= 0"):
+            RatioReport(-1.0, 1.0, (0, 1), (0, 1))
 
     @pytest.mark.parametrize("p", [2.0, 3.0, 4.0])
     @pytest.mark.parametrize("pts", RATIO_BEYOND_RANGE)
@@ -555,12 +573,49 @@ class TestPairKernel:
         assert np.count_nonzero(sums == sums.min()) > 1
         assert rep.max_dist == pytest.approx(max(ref.values()), rel=1e-12)
 
+    @pytest.mark.parametrize("kind", ["construction", "mirrored"])
+    def test_ties_in_a_large_set_report_the_lowest_row_major_pair(self, monkeypatch, kind):
+        # above one chunk: the construction at n = 64 has two distances, and a
+        # set beside its mirror image in x_0 = 0 has every pair sum twice, bit
+        # for bit, and its least, 1, once for each point and its image
+        if kind == "construction":
+            pts = build_configuration(64).config.points
+        else:
+            half = blocked_scan_set(5)[:30]
+            half[:, 0] = 0.5
+            pts = np.vstack([half, half * np.r_[-1.0, np.ones(39)]])
+        m, n = pts.shape
+        assert m * (m - 1) // 2 > lpgeom.PAIR_BLOCK_ELEMENTS // n
+        sums = lpgeom._pair_power_scan(pts, 4.0)[0]
+        assert np.count_nonzero(sums == sums.max()) > 1
+        assert np.count_nonzero(sums == sums.min()) > 1
+        rep = ratio_report(Configuration(pts, 4.0))
+        assert rep.argmax_pair == lpgeom._pair_at(int(np.flatnonzero(sums == sums.max())[0]), m)
+        assert rep.argmin_pair == lpgeom._pair_at(int(np.flatnonzero(sums == sums.min())[0]), m)
+        # the Gram bound makes every tied pair a candidate and keeps both sums
+        monkeypatch.setattr(lpgeom, "_pair_power_scan", None)  # the full scan must not run
+        assert lpgeom._extreme_sums(pts)[:2] == (sums.max(), sums.min())
+
     def test_first_duplicate_in_row_major_order_is_named(self):
         pts = np.array([[0.0, 0.0], [1.0, 1.0], [1.0, 1.0], [2.0, 0.0], [0.0, 3.0], [0.0, 0.0]])
         with pytest.raises(ValueError, match=r"\(0, 5\)"):
             ratio_report(Configuration(pts, 4.0))
         with pytest.raises(ValueError, match=r"\(0, 5\)"):
             is_equilateral(Configuration(pts, 3.0))
+
+    @pytest.mark.parametrize("p", [3.0, 4.0])
+    def test_first_duplicate_in_a_large_set_is_named(self, p):
+        pts = blocked_scan_set(6, m=62, n=60)  # n + 2 points, for the audit
+        cert = radon_partition(pts)
+        pts[40] = pts[3]
+        pts[7] = pts[2]
+        with pytest.raises(ValueError, match=r"duplicate points at indices \(2, 7\)"):
+            ratio_report(Configuration(pts, p))
+        with pytest.raises(ValueError, match=r"duplicate points at indices \(2, 7\)"):
+            is_equilateral(Configuration(pts, p))
+        # the Gram bound's lower ends reach 0 there, so the audit's full scan names the pair
+        with pytest.raises(ValueError, match=r"duplicate points at indices \(2, 7\)"):
+            audit_chain(Configuration(pts, 4.0), cert)
 
     def test_underflowed_sum_is_not_a_duplicate(self):
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [1e-100, 0.0]])
@@ -588,6 +643,30 @@ class TestPairKernel:
         assert (rep.min_dist, rep.argmin_pair) == (1e-100, (0, 1))
         assert rep.ratio == 3.0
         assert is_equilateral(Configuration(pts, 4.0)) == (False, None)
+
+    def test_underflowed_pairs_in_a_large_set_are_ordered_by_distance(self):
+        # pairs (4, 10) and (20, 30) sum to 0 after scaling; the second is the nearest
+        pts = blocked_scan_set(7, m=62, n=60)  # n + 2 points, for the audit
+        cert = radon_partition(pts)
+        pts[4, 0] = pts[20, 1] = 0.0
+        pts[10], pts[30] = pts[4], pts[20]
+        pts[10, 0], pts[30, 1] = 3e-100, 1e-100
+        m = pts.shape[0]
+        sums, x, _, low, dists = lpgeom._pair_power_scan(pts, 4.0)
+        assert [lpgeom._pair_at(t, m) for t in low.tolist()] == [(4, 10), (20, 30)]
+        rep = ratio_report(Configuration(pts, 4.0))
+        assert (rep.min_dist, rep.argmin_pair) == (1e-100, (20, 30))
+        assert rep.argmax_pair == lpgeom._pair_at(int(sums.argmax()), m)
+        # the Gram bound's lower ends fall below the floor, so the audit's full
+        # scan finds the underflow
+        with pytest.raises(NumericalBreakdown, match="mu\\^4 may have lost digits"):
+            audit_chain(Configuration(pts, 4.0), cert)
+        # every pair underflows, so the maximum is repriced too
+        pts = np.hstack([np.ones((m, 1)), 1e-100 * blocked_scan_set(8, m, 60)[:, 1:]])
+        rep = ratio_report(Configuration(pts, 4.0))
+        ref = {(i, j): distance(pts[i], pts[j], 4.0) for i in range(m) for j in range(i + 1, m)}
+        assert (rep.max_dist, rep.argmax_pair) == (max(ref.values()), max(ref, key=ref.get))
+        assert (rep.min_dist, rep.argmin_pair) == (min(ref.values()), min(ref, key=ref.get))
 
     def test_subnormal_sums_are_repriced(self):
         # pairs (0, 1) and (1, 2) both sum to 3 subnormal units (1.5e-323)
@@ -728,3 +807,83 @@ class TestPointZeroExit:
             mp.setattr(lpgeom, "PAIR_BLOCK_ELEMENTS", 0)
             assert outcome(is_equilateral, config, tol) == expected
             assert outcome(full_scan_is_equilateral, config, tol) == expected
+
+
+def extremes_and_audit(pts, cert):
+    """_extreme_sums's two sums and audit_chain's JSON on ``pts``, or their error messages."""
+    def attempt(call):
+        try:
+            return call()
+        except (ValueError, NumericalBreakdown) as exc:
+            return str(exc)
+
+    config = Configuration(pts, 4.0)
+    return (attempt(lambda: lpgeom._extreme_sums(pts)[:2]),
+            attempt(lambda: json.dumps(audit_chain(config, cert).to_dict())))
+
+
+class TestGramExtremes:
+    @given(
+        kind=st.sampled_from(["uniform", "ties", "perturbed", "integer"]),
+        n=st.integers(2, 8),
+        shake=st.integers(3, 12),
+        offset=st.one_of(st.none(), st.integers(0, 40)),
+        scale=st.sampled_from([-500, 0, 500]),
+        plant=st.sampled_from([None, "duplicate", "underflow"]),
+        seed=st.integers(0, 10_000),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_extremes_keep_the_full_scans_bytes(self, kind, n, shake, offset, scale, plant, seed):
+        # a zero budget sends every set of 3 or more points through the Gram
+        # bound; at the default budget these sets take the one-chunk full scan.
+        # The audit reads only the certificate's sides and weights, so any
+        # certificate of n + 2 points will do
+        rng = np.random.default_rng(seed)
+        if kind == "uniform":
+            pts = rng.uniform(-1.0, 1.0, size=(n + 2, n))
+        elif kind == "integer":
+            pts = rng.integers(-3, 4, size=(n + 2, n)).astype(float)
+        else:
+            pts = build_configuration(n).config.points.copy()
+            if kind == "perturbed":
+                pts += 10.0 ** -shake * rng.standard_normal(pts.shape)
+        if offset is not None:
+            pts += 2.0 ** offset
+        pts = np.ldexp(pts, scale)
+        if plant:
+            a, b = rng.choice(n + 2, size=2, replace=False)
+            c = int(rng.integers(n))
+            pts[a, c] = 0.0
+            pts[b] = pts[a]
+            if plant == "underflow":  # scaled, the pair's sum is below the floor
+                pts[b, c] = np.abs(pts).max() * 2.0 ** -300
+        cert = radon_partition(rng.uniform(-1.0, 1.0, size=(n + 2, n)))
+        expected = extremes_and_audit(pts, cert)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lpgeom, "PAIR_BLOCK_ELEMENTS", 0)
+            assert extremes_and_audit(pts, cert) == expected
+        x, _ = lpgeom._power_of_two_scaled(pts)
+        s, w = lpgeom._gram_bounds(x)
+        e = np.add.outer(w, w)
+        iu = np.triu_indices(n + 2, 1)
+        assert (np.abs(s[iu] - lpgeom._pair_sums(x, 4.0)) <= e[iu]).all()
+        if plant is None and kind != "integer":  # distinct points: no fallback
+            assert (s - e)[iu].min() >= lpgeom._sum_floor(n)
+
+    @pytest.mark.parametrize("kind", ["perturbed", "random"])
+    def test_sets_without_ties_price_few_pairs(self, monkeypatch, kind):
+        pts = kernel_inputs(64, seed=11)[kind]
+        config = Configuration(pts, 4.0)
+        cert = radon_partition(pts)
+        expected = audit_chain(config, cert).to_dict()
+        priced = []
+        sums_at = lpgeom._sums_at
+
+        def counted(x, i, j, p):
+            priced.append(i.size)
+            return sums_at(x, i, j, p)
+
+        monkeypatch.setattr(lpgeom, "_sums_at", counted)
+        monkeypatch.setattr(lpgeom, "_pair_power_scan", None)  # the full scan must not run
+        assert audit_chain(config, cert).to_dict() == expected
+        assert len(priced) == 1 and priced[0] <= 2, priced

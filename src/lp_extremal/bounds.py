@@ -39,7 +39,10 @@ def schuette_bound(n, p) -> float:
     -------
     float
         (1 + 2/n)^(1/p) for even n, (1 + 2/(n - 1/(n+2)))^(1/p) for
-        odd n.  Strictly decreasing in n, always > 1.
+        odd n.  Strictly decreasing in n and > 1 in exact arithmetic
+        only: in floats, consecutive n can share a value from about 2^26
+        (n = 67108865 and 67108866 do, at p = 4), and the value is exactly
+        1.0 from n = 2^52 - 1 at p = 4 (2^53 - 2 at p = 2).
     """
     return BoundRow(n, p).bound
 
@@ -72,7 +75,9 @@ def norm_equivalence_factor(n, p) -> float:
 @dataclass(frozen=True)
 class BoundRow:
     """Dimension n, exponent p in PROVEN_EXPONENTS, and the two closed
-    forms: bound = schuette_bound(n, p) and epsilon = epsilon_threshold(n, p)."""
+    forms: bound = schuette_bound(n, p) and epsilon = epsilon_threshold(n, p).
+    Any n up to the float range is taken, but in floats the bounds of n and n + 1
+    can agree from about n = 2^26, and the bound is 1.0 from n = 2^52 - 1 at p = 4."""
 
     n: int
     p: float

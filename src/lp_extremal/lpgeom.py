@@ -50,6 +50,16 @@ def _check_int(value, name: str, minimum: int) -> int:
     return value
 
 
+def _check_pair(value, name: str) -> tuple[int, int]:
+    """``value`` as two indices 0 <= i < j, each a Python int by :func:`_check_int`."""
+    try:
+        i, j = value
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be two indices i < j, got {value!r}") from None
+    i = _check_int(i, f"{name}[0]", 0)
+    return i, _check_int(j, f"{name}[1]", i + 1)
+
+
 def _assign(record, **values) -> None:
     """Set fields of a frozen dataclass ``record``, which blocks only ``__setattr__``."""
     vars(record).update(values)
@@ -208,7 +218,9 @@ class Configuration:
 
 @dataclass(frozen=True)
 class RatioReport:
-    """Extremes of the pairwise distances of a configuration; ratio is max_dist / min_dist."""
+    """Extremes of the pairwise distances of a configuration; ratio is max_dist / min_dist.
+    Each arg pair is two indices 0 <= i < j.  max_dist >= min_dist is not asked: pairs
+    chosen by their kernel sums may, when nearly tied, price an ulp out of that order."""
 
     max_dist: float
     min_dist: float
@@ -227,7 +239,9 @@ class RatioReport:
         ratio = max_dist / min_dist
         if not math.isfinite(ratio):
             raise ValueError("the distance ratio exceeds the floating-point range")
-        _assign(self, max_dist=max_dist, min_dist=min_dist, ratio=ratio)
+        _assign(self, max_dist=max_dist, min_dist=min_dist, ratio=ratio,
+                argmax_pair=_check_pair(self.argmax_pair, "argmax_pair"),
+                argmin_pair=_check_pair(self.argmin_pair, "argmin_pair"))
 
     def to_dict(self) -> dict:
         return {
@@ -439,48 +453,35 @@ def _gram_bounds(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return s, row
 
 
-def _gram_candidates(x: np.ndarray) -> Optional[tuple[np.ndarray, np.ndarray]]:
-    """``(i, j)``, in row-major order, the pairs i < j of rows of ``x`` that
-    may hold the largest or the smallest of :func:`_pair_sums`'s sums at
-    p = 4; None when any may sit below the underflow floor.
-
-    By :func:`_gram_bounds` a pair whose interval [s - e, s + e] lies wholly
-    below the largest lower end cannot hold the largest kernel sum, nor one
-    wholly above the least upper end the smallest.  A lower end below the
-    floor may stand for two equal points or a sum that lost digits, which
-    only the full scan tells apart.  The ends are formed in place, so at
-    most two (m, m) float arrays are live at once.
-    """
-    m, n = x.shape
-    hi, w = _gram_bounds(x)
-    lo = hi - w[:, None]
-    lo -= w
-    upper = ~np.tri(m, dtype=bool)  # the pairs i < j
-    if lo.min(where=upper, initial=math.inf) < _sum_floor(n):
-        return None
-    top = lo.max(where=upper, initial=-math.inf)
-    hi += w[:, None]
-    hi += w
-    bottom = hi.min(where=upper, initial=math.inf)
-    return np.nonzero(upper & ((hi >= top) | (lo <= bottom)))
-
-
 def _extreme_sums(pts: np.ndarray):
     """The largest and the smallest of :func:`_pair_power_scan`'s p = 4 sums.
 
     Returns ``(top, bottom, x, k, low)``: the two sums bit for bit, and the
     scan's scaled points, k and underflowed positions.  A set with more
-    pairs than one chunk of the pair kernel has the kernel price only
-    :func:`_gram_candidates`, so BLAS chooses which pairs are priced and
-    never a reported bit.  The full scan runs instead when a pair may sit
-    below the underflow floor, and for every smaller set.
+    pairs than one chunk of the pair kernel has the kernel price only the
+    pairs that may hold an extreme, so BLAS chooses which pairs are priced
+    and never a reported bit: by :func:`_gram_bounds` a pair whose interval
+    [s - e, s + e] lies below the largest lower end cannot hold the largest
+    sum, nor one above the least upper end the smallest.  At most two (m, m)
+    float arrays are live at once.  A lower end below the underflow floor
+    may stand for two equal points or a sum that lost digits, which only the
+    full scan tells apart, so it runs then, and for every smaller set.
     """
     m, n = pts.shape
     if m * (m - 1) // 2 > _chunk_pairs(n):
         x, k = _power_of_two_scaled(pts)
-        pairs = _gram_candidates(x)
-        if pairs is not None:
-            sums = _sums_at(x, *pairs, 4.0)
+        hi, w = _gram_bounds(x)
+        lo = hi - w[:, None]
+        lo -= w
+        upper = ~np.tri(m, dtype=bool)  # the pairs i < j
+        if lo.min(where=upper, initial=math.inf) >= _sum_floor(n):
+            top = lo.max(where=upper, initial=-math.inf)
+            hi += w[:, None]
+            hi += w
+            bottom = hi.min(where=upper, initial=math.inf)
+            i, j = np.nonzero(upper & ((hi >= top) | (lo <= bottom)))
+            del hi, lo
+            sums = _sums_at(x, i, j, 4.0)
             return float(sums.max()), float(sums.min()), x, k, np.empty(0, dtype=np.intp)
     sums, x, k, low, _ = _pair_power_scan(pts, 4.0)
     return float(sums.max()), float(sums.min()), x, k, low
@@ -509,15 +510,9 @@ def ratio_report(config: Configuration) -> RatioReport:
         tmin = int(low[dists.argmin()])
         if low.size == sums.size:
             tmax = int(low[dists.argmax()])
-    imax, jmax = _pair_at(tmax, m)
-    imin, jmin = _pair_at(tmin, m)
-    pts = config.points
-    return RatioReport(
-        max_dist=_distance(pts[imax].tolist(), pts[jmax].tolist(), config.p),
-        min_dist=_distance(pts[imin].tolist(), pts[jmin].tolist(), config.p),
-        argmax_pair=(imax, jmax),
-        argmin_pair=(imin, jmin),
-    )
+    pts, pairs = config.points, (_pair_at(tmax, m), _pair_at(tmin, m))
+    max_dist, min_dist = (_distance(pts[i].tolist(), pts[j].tolist(), config.p) for i, j in pairs)
+    return RatioReport(max_dist, min_dist, *pairs)
 
 
 def _distances(sums: np.ndarray, p: float) -> np.ndarray:

@@ -22,7 +22,7 @@ from lp_extremal.bounds import schuette_bound
 from lp_extremal.construct import build_configuration
 from lp_extremal.errors import NumericalBreakdown
 from lp_extremal.lpgeom import (
-    Configuration, _assign, _check_instance, _check_int, _pair_power_scan, _pair_sums, ratio_report
+    Configuration, _assign, _check_instance, _check_int, _extreme_sums, _pair_sums, ratio_report
 )
 
 __all__ = ["SearchResult", "minimize_ratio"]
@@ -130,10 +130,9 @@ def _walk(seed_arrays: list, evals: list, keys: list) -> list:
     current = np.empty((len(seed_arrays), m, n))
     lows = []
     for r, seed in enumerate(seed_arrays):
-        # the ratio is scale-free; the scan's power of two keeps the seed exact
-        # and its fourth powers inside the float range, and it names duplicates
-        s4, x, _, low, _ = _pair_power_scan(seed, 4.0)
-        mx, mn = float(s4.max()), float(s4.min())
+        # the ratio is scale-free; the power of two keeps the seed exact and its
+        # fourth powers inside the float range, and the full scan names duplicates
+        mx, mn, x, _, low = _extreme_sums(seed)
         if low.size or not math.isfinite(mx / mn):
             raise ValueError("seed configuration's distance ratio is too large to search")
         current[r] = pts = _normalize(x, mn ** 0.25)

@@ -51,6 +51,15 @@ class TestSchuetteBound:
             assert all(a > b for a, b in zip(vals, vals[1:]))
             assert all(v > 1.0 for v in vals)
 
+    def test_floats_stop_telling_large_dimensions_apart(self):
+        # the two limits the docstrings of schuette_bound and BoundRow state
+        assert schuette_bound(67108865, 4) == schuette_bound(67108866, 4)
+        assert schuette_bound(10 ** 8, 4) == schuette_bound(10 ** 8 + 1, 4)
+        for p, first_one in ((4, 2 ** 52 - 1), (2, 2 ** 53 - 2)):
+            assert schuette_bound(first_one - 1, p) > 1.0
+            assert [schuette_bound(n, p) for n in (first_one, first_one + 1, 2 ** 60)] == [1.0] * 3
+        assert BoundRow(10 ** 300, 4).bound == 1.0  # still a valid row
+
     def test_odd_between_even_neighbors(self):
         for n in range(3, 400, 2):
             hi = schuette_bound(n - 1, 4)

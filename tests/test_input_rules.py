@@ -112,6 +112,8 @@ ENTRIES = [
     ("integer", "SearchResult-restarts", lambda r: SearchResult(SQUARE, r, 1, 0), 1),
     ("integer", "SearchResult-evaluations", lambda e: SearchResult(SQUARE, 1, e, 0), 1),
     ("integer", "SearchResult-rng_seed", lambda s: SearchResult(SQUARE, 1, 1, s), 0),
+    ("integer", "RatioReport-argmax_pair", lambda j: RatioReport(2.0, 1.0, (0, j), (0, 1)), 2),
+    ("integer", "RatioReport-argmin_pair", lambda j: RatioReport(2.0, 1.0, (0, 2), (0, j)), 1),
     ("array", "p_norm", lambda v: p_norm(v, 4), [3.0, 4.0]),
     ("array", "distance", lambda u: distance(u, [1.0, 1.0], 4), [0.0, 0.0]),
     ("array", "Configuration", lambda pts: Configuration(pts, 4), UNIT_SQUARE),
@@ -172,3 +174,26 @@ def test_an_integer_field_is_stored_as_a_python_int():
     assert [type(v) for v in (row.n, res.restarts, res.evaluations, res.rng_seed)] == [int] * 4
     assert json.loads(json.dumps(row.to_dict()))["n"] == 3
     assert json.loads(json.dumps(res.to_dict()))["rng_seed"] == 0
+
+
+#: Arg pairs RatioReport refuses for their shape or order: two indices 0 <= i < j are asked
+BAD_PAIRS = {
+    "none": None, "text": ("a", "b"), "descending": (1, 0), "equal": (0, 0), "negative": (-1, 2),
+    "fraction": (0.5, 1), "triple": (0, 1, 2), "single": (0,), "scalar": 1, "string": "01",
+}
+
+
+@pytest.mark.parametrize("name", ["argmax_pair", "argmin_pair"])
+@pytest.mark.parametrize("label", BAD_PAIRS)
+def test_a_bad_arg_pair_is_a_value_error_naming_its_field(name, label):
+    pairs = {"argmax_pair": (0, 2), "argmin_pair": (0, 1), name: BAD_PAIRS[label]}
+    with pytest.raises(ValueError, match=f"^{name}"):
+        RatioReport(2.0, 1.0, **pairs)
+
+
+def test_an_arg_pair_is_stored_as_a_tuple_of_python_ints():
+    rep = RatioReport(2.0, 1.0, np.array([0, 3]), [np.int64(1), 2])
+    assert rep.argmax_pair == (0, 3) and rep.argmin_pair == (1, 2)
+    assert [type(v) for v in (*rep.argmax_pair, *rep.argmin_pair)] == [int] * 4
+    assert json.loads(json.dumps(rep.to_dict()))["argmax_pair"] == [0, 3]
+

@@ -16,6 +16,7 @@ import lp_extremal
 from lp_extremal.bounds import schuette_bound
 from lp_extremal.construct import build_configuration
 from lp_extremal.errors import NumericalBreakdown
+from lp_extremal import lpgeom
 from lp_extremal.lpgeom import Configuration, _pair_sums, ratio_report
 from lp_extremal.radon import audit_chain, radon_partition
 from lp_extremal.search import MAX_BUDGET, SearchResult, _normalize, minimize_ratio
@@ -379,3 +380,51 @@ class TestSeeds:
                 minimize_ratio(n, budget, "auto", seed)
         with pytest.raises(ValueError, match="rng_seed must be >= 0"):
             minimize_ratio(3, 50, "auto", -1)
+
+
+def counted_gram_bounds(monkeypatch):
+    """A list that gains one entry per call of lpgeom._gram_bounds, the Gram path's first step."""
+    calls, gram_bounds = [], lpgeom._gram_bounds
+
+    def counted(x):
+        calls.append(x.shape)
+        return gram_bounds(x)
+
+    monkeypatch.setattr(lpgeom, "_gram_bounds", counted)
+    return calls
+
+
+class TestSeedsAboveOneChunk:
+    """The seed check reads _extreme_sums, which takes the Gram path above one kernel chunk."""
+
+    @pytest.mark.parametrize("n, budget, kind, seed", [
+        (2, 200, "auto", 0), (3, 200, "auto", 1), (8, 200, "auto", 2),
+        (2, 300, "one", 0), (3, 10, "one", 2), (8, 200, "five", 1),
+    ])
+    def test_the_gram_path_keeps_every_byte(self, n, budget, kind, seed, monkeypatch):
+        base = json.dumps(minimize_ratio(n, budget, seed_list(kind, n), seed).to_dict())
+        calls = counted_gram_bounds(monkeypatch)
+        monkeypatch.setattr(lpgeom, "PAIR_BLOCK_ELEMENTS", 0)  # every set is above one chunk
+        res = minimize_ratio(n, budget, seed_list(kind, n), seed)
+        assert json.dumps(res.to_dict()) == base
+        assert calls == [(n + 2, n)] * res.restarts
+
+    def test_a_large_seed_with_a_repeated_point_names_it(self, monkeypatch):
+        pts = build_configuration(64).config.points.copy()
+        pts[40] = pts[5]
+        calls = counted_gram_bounds(monkeypatch)
+        with pytest.raises(ValueError, match=r"duplicate points at indices \(5, 40\)"):
+            minimize_ratio(64, 10, [Configuration(pts, 4.0)], 0)
+        assert calls == [(66, 64)]  # the Gram path was tried, and fell back to the full scan
+
+    def test_a_large_seed_with_an_underflowing_pair_is_refused(self, monkeypatch):
+        pts = np.random.default_rng(64).uniform(-1.0, 1.0, (66, 64))
+        pts[5, 0] = 0.0
+        pts[40] = pts[5]
+        pts[40, 0] = 1e-100  # distinct, but its fourth-power sum underflows to 0
+        calls = counted_gram_bounds(monkeypatch)
+        with pytest.raises(ValueError,
+                           match="seed configuration's distance ratio is too large to search"):
+            minimize_ratio(64, 10, [Configuration(pts, 4.0)], 0)
+        assert calls == [(66, 64)]
+

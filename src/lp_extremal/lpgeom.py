@@ -88,15 +88,19 @@ def _as_floats(values, name: str, ndim: int) -> np.ndarray:
     """A float64 copy of ``values``, the caller's to freeze: a non-empty ``ndim``-D
     array of finite numbers.  A string, a complex value or an array of bools is not a
     number; only an object array (a JSON integer beyond int64 makes one) is scanned,
-    and a value float() refuses, or cannot hold, is an error too.
+    and a value float() refuses, or cannot hold, is an error too.  Nested sequences of
+    unequal lengths, which numpy refuses with a ValueError of its own, are not rectangular.
     """
-    arr = np.asarray(values)
+    try:
+        arr = np.asarray(values)
+    except ValueError:
+        raise ValueError(f"{name} must be a rectangular array of numbers") from None
     kind = arr.dtype.kind
     if kind in "USbc" or (kind == "O" and any(isinstance(v, (str, bytes)) for v in arr.flat)):
         raise ValueError(f"{name} must be numbers, not text, bools or complex (dtype {arr.dtype})")
     try:
         arr = arr.astype(float)
-    except TypeError:
+    except (TypeError, ValueError):  # ValueError: an object array holding a sequence
         raise ValueError(f"{name} must be numbers (dtype {arr.dtype})") from None
     except OverflowError:
         raise ValueError(f"{name} must be numbers a float can hold; one is too large") from None

@@ -65,7 +65,8 @@ def _null_vector(x: np.ndarray):
     ``RADON_PANEL`` columns is one panel, whose arithmetic is plain
     rank-1 elimination.  Back substitution sets the last non-pivot column
     to 1 and any other free columns to 0.  Plain numpy, no LAPACK or
-    BLAS-3 call, so the result does not depend on the BLAS thread count.
+    BLAS call, so the result does not depend on the BLAS thread count
+    or kernel.
 
     Returns (lambda, condition): condition holds the rank and the smallest
     accepted pivot.
@@ -118,6 +119,21 @@ def _null_vector(x: np.ndarray):
     return lam, condition
 
 
+def _row_sum(weights: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """sum_i weights[i] * rows[i], one rounded product per entry, the rows added
+    in index order to +0.0.
+
+    The one rule for every weighted sum of points in this module.  ``accumulate``
+    is defined as that left-to-right loop, so each bit is numpy's own arithmetic
+    at any shape: no BLAS kernel, thread count or pairwise reduction takes part,
+    and no multiply is fused into an add.  (``einsum("i,ij->j")`` keeps that order
+    only while there are two or more columns; on one it takes a dot-product loop
+    with several partial sums.)  Adding +0.0 turns the -0.0 of a column of
+    negative-zero products into the +0.0 the loop starts from.
+    """
+    return np.add.accumulate(weights[:, None] * rows, axis=0)[-1] + 0.0
+
+
 def _square_sum(weights: np.ndarray) -> float:
     """Compensated sum of the squared weights."""
     return math.fsum([w * w for w in weights.tolist()])
@@ -164,8 +180,8 @@ class RadonCertificate:
             if abs(math.fsum(side.tolist()) - 1.0) > 1e-12:
                 raise ValueError("both sides of the partition must be non-empty, each summing to 1")
             side.setflags(write=False)
-        _assign(self, side_a=tuple(np.flatnonzero(pos).tolist()),
-                side_b=tuple(np.flatnonzero(~pos).tolist()), alphas=alphas, betas=betas,
+        _assign(self, side_a=tuple(pos.nonzero()[0].tolist()),
+                side_b=tuple((~pos).nonzero()[0].tolist()), alphas=alphas, betas=betas,
                 residual=_check_real(self.residual, "residual", 0))
         bound = certificate_bound(self)  # raises where the bound is undefined
         if self.certificate is not None:
@@ -192,8 +208,8 @@ def radon_partition(points) -> RadonCertificate:
     so positive coefficients form side_a, and negative and zero ones
     side_b.  The normalized weights place the common point in both
     convex hulls.
-    The weighted sums, the common point and the residual are formed on
-    the points scaled by 2^-k and mapped back by 2^k, which is exact in
+    The weighted sums (:func:`_row_sum`), the common point and the residual
+    are formed on the points scaled by 2^-k and mapped back by 2^k, which is exact in
     the normal range, so coordinates near the float limit work too.  The
     residual must stay within ``WEIGHT_RESIDUAL_TOL`` times the largest
     coordinate in that frame, so the verdict does not change when the
@@ -221,8 +237,8 @@ def radon_partition(points) -> RadonCertificate:
             },
         )
     weights = np.where(pos, lam / pos_sum, lam / neg_sum)
-    sum_a = weights[pos] @ x[pos]
-    sum_b = np.abs(weights[~pos]) @ x[~pos]  # zero entries stay exactly +0
+    sum_a = _row_sum(weights[pos], x[pos])
+    sum_b = _row_sum(np.abs(weights[~pos]), x[~pos])  # zero entries stay exactly +0
     common = 0.5 * (sum_a + sum_b)
     res = max(float(np.abs(sum_a - common).max()), float(np.abs(sum_b - common).max()))
     scale = float(np.abs(x).max())
@@ -328,8 +344,8 @@ class ChainAudit:
 def _weighted_moments(weights: np.ndarray, block: np.ndarray):
     """(sum_i w_i c_im^2 per coordinate, total weighted fourth moment)."""
     sq = block * block
-    second = weights @ sq
-    fourth = math.fsum((weights @ (sq * sq)).tolist())
+    second = _row_sum(weights, sq)
+    fourth = math.fsum(_row_sum(weights, sq * sq).tolist())
     return second, fourth
 
 
@@ -370,7 +386,7 @@ def audit_chain(config: Configuration, cert: RadonCertificate) -> ChainAudit:
     x = x - x[0]
     a = x.take(cert.side_a, axis=0)
     b = x.take(cert.side_b, axis=0)
-    centre = 0.5 * (cert.alphas @ a + cert.betas @ b)
+    centre = 0.5 * (_row_sum(cert.alphas, a) + _row_sum(cert.betas, b))
     a_second, a_fourth = _weighted_moments(cert.alphas, a - centre)
     b_second, b_fourth = _weighted_moments(cert.betas, b - centre)
     sum_sq_a = _square_sum(cert.alphas)

@@ -442,6 +442,14 @@ class TestErrors:
         assert body["error"]["type"] == "ValueError"
         assert "coordinates must be numbers" in body["error"]["message"]
 
+    @pytest.mark.parametrize("command", ["certify", "audit", "check-equilateral"])
+    def test_ragged_coordinates_get_the_rule_message(self, capsys, tmp_path, command):
+        cfg = write_config(tmp_path / "ragged.json", [[1, 2], [3]], p=4)
+        code, body = run_json(capsys, command, cfg)
+        assert code == 1
+        assert body["error"]["type"] == "ValueError"
+        assert body["error"]["message"].endswith("coordinates must be a rectangular array of numbers")
+
     def test_string_exponent_is_exit_1(self, capsys, tmp_path):
         cfg = write_config(tmp_path / "sq.json", UNIT_SQUARE, p="4")
         code, body = run_json(capsys, "certify", cfg)

@@ -78,6 +78,7 @@ def _bad_arrays(good):
         "text": "4",
         "complex": _with_first(good, 2 + 0j),
         "wrong-ndim": good[0] if points else [good],
+        "ragged": [*good, good[0][:-1] if points else [good[0]]],
         "empty": np.zeros((2, 0)) if points else [],
         "nan": _with_first(good, math.nan),
         "huge": _with_first(good, 10 ** 400),

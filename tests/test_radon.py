@@ -4,6 +4,7 @@ import inspect
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 from fractions import Fraction
@@ -24,6 +25,7 @@ from lp_extremal.radon import (
     ChainAudit,
     RadonCertificate,
     _null_vector,
+    _row_sum,
     audit_chain,
     certificate_bound,
     radon_partition,
@@ -682,10 +684,14 @@ class TestScaleAndThreads:
         assert audit_chain(cfg, cert).all_hold()
 
     def test_certificate_bytes_do_not_depend_on_blas_threads(self):
+        # every kernel OpenBLAS can be forced to on x86-64 rounds its gemv its
+        # own way, so each reported value must be formed without BLAS
+        tests = str(Path(__file__).resolve().parent)
         script = (
-            "import json, numpy as np\n"
+            "import hashlib, json, numpy as np\n"
             "from lp_extremal import Configuration, build_configuration, is_equilateral, ratio_report\n"
             "from lp_extremal.radon import audit_chain, radon_partition\n"
+            "from test_radon import small_set_payloads\n"
             "rng = np.random.default_rng(7)\n"
             "pts = rng.uniform(-1.0, 1.0, size=(202, 200))\n"
             "print(json.dumps(radon_partition(pts).to_dict()))\n"
@@ -694,21 +700,54 @@ class TestScaleAndThreads:
             "    print(json.dumps(ratio_report(cfg).to_dict()), is_equilateral(cfg))\n"
             "    cert = radon_partition(cfg.points)\n"
             "    print(json.dumps(audit_chain(cfg, cert).to_dict()))\n"
+            "print(hashlib.sha256(small_set_payloads().encode()).hexdigest())\n"
         )
         src = str(Path(lp_extremal.__file__).resolve().parents[1])
-        outputs = []
-        for threads in ("1", "2"):
-            env = {
-                **os.environ,
-                "OPENBLAS_NUM_THREADS": threads,
-                "OMP_NUM_THREADS": threads,
-                "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
-            }
-            proc = subprocess.run(
-                [sys.executable, "-c", script], capture_output=True, env=env, check=True
-            )
-            outputs.append(proc.stdout)
-        assert outputs[0] and outputs[0] == outputs[1]
+        kernels = [None]
+        if platform.machine().lower() in ("x86_64", "amd64"):
+            kernels += ["Prescott", "Sandybridge", "Haswell"]
+        outputs = {}
+        for kernel in kernels:
+            for threads in ("1", "2"):
+                env = {
+                    **os.environ,
+                    "OPENBLAS_NUM_THREADS": threads,
+                    "OMP_NUM_THREADS": threads,
+                    "PYTHONPATH": os.pathsep.join(filter(None, [src, tests, os.environ.get("PYTHONPATH")])),
+                }
+                env.pop("OPENBLAS_CORETYPE", None)
+                if kernel:
+                    env["OPENBLAS_CORETYPE"] = kernel
+                proc = subprocess.run(
+                    [sys.executable, "-c", script], capture_output=True, env=env, check=True
+                )
+                outputs[kernel, threads] = proc.stdout
+        assert outputs[None, "1"]
+        digests = {key: hashlib.sha256(out).hexdigest()[:12] for key, out in outputs.items()}
+        assert len(set(digests.values())) == 1, digests
+
+
+def _sum_entries(rng, shape, scales, zeros):
+    """Numbers of either sign at scales 2^e, e drawn from ``scales``, so that
+    products and partial sums round often; about a ``zeros`` share of them
+    signed zeros."""
+    x = np.ldexp(rng.uniform(-2.0, 2.0, shape), rng.integers(min(scales), max(scales) + 1, shape))
+    return np.where(rng.random(shape) < zeros, rng.choice([0.0, -0.0], shape), x)
+
+
+@given(st.integers(1, 40), st.integers(1, 17), st.integers(0, 2 ** 32 - 1),
+       st.lists(st.integers(-300, 300), min_size=2, max_size=2), st.floats(0.0, 1.0))
+@settings(max_examples=300, deadline=None)
+def test_weighted_sums_add_rows_in_index_order(m, n, seed, scales, zeros):
+    # the common point, the audit's centre and its moment sums are each this
+    # sum; a BLAS product or a pairwise reduction rounds in another order
+    rng = np.random.default_rng(seed)
+    weights = _sum_entries(rng, m, scales, zeros)
+    rows = _sum_entries(rng, (m, n), scales, zeros)
+    expect = [0.0] * n
+    for w, row in zip(weights.tolist(), rows.tolist()):
+        expect = [total + w * r for total, r in zip(expect, row)]
+    assert _row_sum(weights, rows).tobytes() == np.array(expect).tobytes()
 
 
 def small_set_payloads():
@@ -761,8 +800,6 @@ def test_signed_weights_rebuild_the_certificate():
 
 def test_small_set_payloads_keep_their_bytes():
     # every float is written in its shortest round-trip form, so the digest
-    # pins every bit; it was taken with numpy 2.4 and OpenBLAS on x86-64, and
-    # another BLAS kernel may round the weighted sums of the certificate and
-    # the audit differently
+    # pins every bit; it was taken with numpy 2.4 on x86-64
     digest = hashlib.sha256(small_set_payloads().encode()).hexdigest()
-    assert digest == "4df3c7d2ee8e51e26f75f06be8122cf55cc53e3b8cff48ca8ecb03548e9b2b66"
+    assert digest == "f41450a241e1ff714c4810e88e412769d116699415a229396d0ec4bb61217c20"
